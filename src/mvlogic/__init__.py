@@ -28,7 +28,6 @@ from .chains import (
     make_wnm_chain,
     negation_profile,
     ordinal_sum,
-    residuum_from_star,
     satisfies_identity,
     subchains,
     trivial_chain,
@@ -43,7 +42,6 @@ from .errors import (
     InvalidNegationError,
     InvalidParameterError,
     MvlogicError,
-    NoResiduumError,
     NotAnMVChainError,
     ParseError,
     SignatureError,

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import formulas
 from .errors import (
@@ -22,7 +22,6 @@ from .errors import (
     FormatError,
     InvalidNegationError,
     InvalidParameterError,
-    NoResiduumError,
     NotAnMVChainError,
     UnsupportedChainError,
 )
@@ -31,7 +30,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 FAMILIES = ("boolean", "lukasiewicz", "godel", "nm", "dp")
-RATIONAL_FAMILIES = ("lukasiewicz", "godel", "product", "nm", "dp")
 
 
 class BaseChain:
@@ -42,10 +40,6 @@ class BaseChain:
 
     name: str
     has_delta: bool
-
-    @property
-    def is_finite(self) -> bool:
-        raise NotImplementedError
 
     @property
     def top(self) -> Fraction:
@@ -90,10 +84,6 @@ class Chain(BaseChain):
     has_delta: bool = False
 
     @property
-    def is_finite(self) -> bool:
-        return True
-
-    @property
     def size(self) -> int:
         return len(self.carrier)
 
@@ -111,9 +101,9 @@ class Chain(BaseChain):
 
     @cached_property
     def residuum_table(self) -> tuple[tuple[int, ...], ...]:
-        # Tolerant max-scan so that check_chain can still report law
-        # violations on a mutated table; residuum_from_star is the
-        # strict variant.
+        # residuum(x,y) = max{z : star(z,x) <= y}, by a tolerant scan
+        # that answers on any table, so that check_chain can still
+        # report law violations on a mutated one.
         k = self.size
         table = []
         for x in range(k):
@@ -152,9 +142,6 @@ class Chain(BaseChain):
     def neg_i(self, i: int) -> int:
         return self.residuum_table[i][0]
 
-    def with_name(self, name: str) -> "Chain":
-        return Chain(name, self.carrier, self.star_table, self.has_delta)
-
     def table_hash(self) -> str:
         """Hash of the canonical serialization, used in certificates."""
         return hashlib.sha256(chain_to_text(self).encode()).hexdigest()
@@ -173,10 +160,6 @@ class RationalFamilyChain(BaseChain):
     residuum_fn: Callable[[Fraction, Fraction], Fraction]
     has_delta: bool = False
 
-    @property
-    def is_finite(self) -> bool:
-        return False
-
     def contains(self, x: Fraction) -> bool:
         return ZERO <= x <= ONE
 
@@ -194,38 +177,6 @@ def require_finite(chain: BaseChain) -> Chain:
             "this operation needs a finite table"
         )
     return chain
-
-
-# ---------------------------------------------------------------------------
-# Residuum derivation
-
-
-def residuum_from_star(
-    star: Sequence[Sequence[int]], carrier: Sequence[Fraction]
-) -> tuple[tuple[int, ...], ...]:
-    """Derive residuum(x,y) = max{z : star(z,x) <= y} as an index table.
-
-    Raises NoResiduumError when the star is not monotone, i.e. the
-    residuation biconditional would fail.
-    """
-    k = len(carrier)
-    for i in range(k):
-        row = star[i]
-        for j in range(k - 1):
-            if row[j] > row[j + 1] or star[j][i] > star[j + 1][i]:
-                raise NoResiduumError(
-                    f"star is not monotone at ({i},{j}); no residuum exists"
-                )
-    table = []
-    for x in range(k):
-        row = []
-        for y in range(k):
-            z = k - 1
-            while star[z][x] > y:
-                z -= 1
-            row.append(z)
-        table.append(tuple(row))
-    return tuple(table)
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +353,10 @@ def check_chain(chain: BaseChain) -> ValidityReport:
     star = c.star_table
     res = c.residuum_table
 
-    if k > 1:
-        if c.carrier[0] != ZERO:
-            bad.append(LawViolation("bounds", (0,), "carrier[0] must be 0"))
-        if c.carrier[-1] != ONE:
-            bad.append(LawViolation("bounds", (k - 1,), "carrier top must be 1"))
+    if k > 1 and c.carrier[0] != ZERO:
+        bad.append(LawViolation("bounds", (0,), "carrier[0] must be 0"))
+    if c.carrier[-1:] != (ONE,):
+        bad.append(LawViolation("bounds", (k - 1,), "carrier top must be 1"))
     for i in range(k - 1):
         if not c.carrier[i] < c.carrier[i + 1]:
             bad.append(
@@ -643,6 +593,8 @@ def chain_from_text(text: str, name: str = "loaded") -> Chain:
         rows = [tuple(int(tok) for tok in row) for row in fields[4 : 4 + k]]
     except (IndexError, ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"malformed chain file: {exc}") from exc
+    if k < 1:
+        raise FormatError("a chain needs size >= 1")
     if len(labels) != k or len(rows) != k or any(len(r) != k for r in rows):
         raise FormatError("table dimensions do not match the declared size")
     if any(not 0 <= i < k for r in rows for i in r):

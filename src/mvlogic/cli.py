@@ -16,7 +16,6 @@ from . import __version__
 from .chains import (
     chain_from_text,
     chain_to_text,
-    check_chain,
     delta_expand,
     make_chain,
     ordinal_sum,
@@ -262,6 +261,7 @@ def run(argv: list[str] | None = None) -> int:
         chain = _load_chain(args.chain)
         model = model_from_text(_read(args.model))
         phi = universal_closure(_formula_from_args(args))
+        model.validate(chain, signature_of(phi))
         print(eval_fo(chain, model, {}, phi))
         return 0
     if args.command == "ground":
@@ -292,6 +292,7 @@ def run(argv: list[str] | None = None) -> int:
     if args.command == "modelmap":
         chain = _load_chain(args.chain)
         model = model_from_text(_read(args.model))
+        model.validate(chain)
         fn = model_plus if args.pass_name == "plus" else boolean_collapse
         _write(args.output, model_to_text(fn(chain, model)))
         return 0

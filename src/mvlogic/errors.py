@@ -13,10 +13,6 @@ class InvalidNegationError(MvlogicError):
     pass
 
 
-class NoResiduumError(MvlogicError):
-    pass
-
-
 class NotAnMVChainError(MvlogicError):
     pass
 

@@ -112,39 +112,28 @@ QUANT = (Forall, Exists)
 BOT = Bottom()
 
 
+_BINARY_TYPES, _UNARY_TYPES, _QUANT_TYPES = map(frozenset, (BINARY, UNARY, QUANT))
+
+
 def subformulas(phi: Formula) -> Iterator[Formula]:
     """All subformula occurrences of phi, phi included, preorder."""
     stack = [phi]
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, BINARY):
+        t = type(node)  # set lookups: this walk is on the tautology check's path
+        if t in _BINARY_TYPES:
             stack.append(node.right)
             stack.append(node.left)
-        elif isinstance(node, UNARY):
+        elif t in _UNARY_TYPES:
             stack.append(node.sub)
-        elif isinstance(node, QUANT):
+        elif t in _QUANT_TYPES:
             stack.append(node.body)
 
 
 def prop_variables(phi: Formula) -> list[str]:
     """Propositional variables in first-occurrence order."""
-    seen: list[str] = []
-    _walk_vars(phi, seen)
-    return seen
-
-
-def _walk_vars(phi: Formula, acc: list[str]) -> None:
-    if isinstance(phi, Var):
-        if phi.name not in acc:
-            acc.append(phi.name)
-    elif isinstance(phi, BINARY):
-        _walk_vars(phi.left, acc)
-        _walk_vars(phi.right, acc)
-    elif isinstance(phi, UNARY):
-        _walk_vars(phi.sub, acc)
-    elif isinstance(phi, QUANT):
-        _walk_vars(phi.body, acc)
+    return list(dict.fromkeys(n.name for n in subformulas(phi) if type(n) is Var))
 
 
 def free_variables(phi: Formula) -> list[str]:
@@ -174,7 +163,7 @@ def signature_of(phi: Formula) -> dict[str, int]:
     Raises SignatureError if a predicate occurs with two different arities.
     """
     sig: dict[str, int] = {}
-    for node in _preorder(phi):
+    for node in subformulas(phi):
         if isinstance(node, Atom):
             arity = len(node.args)
             if node.pred in sig and sig[node.pred] != arity:
@@ -186,31 +175,12 @@ def signature_of(phi: Formula) -> dict[str, int]:
     return sig
 
 
-def _preorder(phi: Formula) -> Iterator[Formula]:
-    yield phi
-    if isinstance(phi, BINARY):
-        yield from _preorder(phi.left)
-        yield from _preorder(phi.right)
-    elif isinstance(phi, UNARY):
-        yield from _preorder(phi.sub)
-    elif isinstance(phi, QUANT):
-        yield from _preorder(phi.body)
-
-
 def is_closed(phi: Formula) -> bool:
     return not free_variables(phi)
 
 
 def has_delta(phi: Formula) -> bool:
     return any(isinstance(n, Delta) for n in subformulas(phi))
-
-
-def is_propositional(phi: Formula) -> bool:
-    return not any(isinstance(n, (Atom,) + QUANT) for n in subformulas(phi))
-
-
-def is_first_order(phi: Formula) -> bool:
-    return not any(isinstance(n, Var) for n in subformulas(phi))
 
 
 def is_classical(phi: Formula) -> bool:
@@ -265,22 +235,19 @@ def universal_closure(phi: Formula) -> Formula:
     return closed
 
 
-def substitute_var(phi: Formula, old: str, new: str) -> Formula:
-    """Rename free occurrences of individual variable old to new."""
-    if isinstance(phi, Atom):
-        if old in phi.args:
-            return Atom(phi.pred, tuple(new if a == old else a for a in phi.args))
-        return phi
+def map_leaves(phi: Formula, leaf: type, fn) -> Formula:
+    """phi with every node of type `leaf` (Var or Atom) replaced by
+    fn(node).  Quantifiers are copied unchanged, so variables in fn's
+    output are not renamed apart from them."""
+    t = type(phi)
+    if t is leaf:
+        return fn(phi)
     if isinstance(phi, BINARY):
-        return type(phi)(
-            substitute_var(phi.left, old, new), substitute_var(phi.right, old, new)
-        )
+        return t(map_leaves(phi.left, leaf, fn), map_leaves(phi.right, leaf, fn))
     if isinstance(phi, UNARY):
-        return type(phi)(substitute_var(phi.sub, old, new))
+        return t(map_leaves(phi.sub, leaf, fn))
     if isinstance(phi, QUANT):
-        if phi.var == old:
-            return phi
-        return type(phi)(phi.var, substitute_var(phi.body, old, new))
+        return t(phi.var, map_leaves(phi.body, leaf, fn))
     return phi
 
 
@@ -315,6 +282,22 @@ def pretty(phi: Formula) -> str:
 
 # ---------------------------------------------------------------------------
 # Parser
+
+# Nesting levels the parser may open: one for each parenthesis,
+# quantifier body, operand of ~ or !, and right operand of a binary
+# connective, inside the level it appears in.  Deeper input is a
+# ParseError.
+MAX_DEPTH = 250
+
+# Binary connectives by token: (precedence, node), tightest highest.
+_BINARY_OPS = {
+    "<->": (1, Iff),
+    "->": (2, Implies),
+    "\\/": (3, Or),
+    "/\\": (4, And),
+    "&": (5, StrongAnd),
+}
+_OPERAND = 6  # min_prec of the operand of ~ and !: no connective binds in it
 
 _SYMBOLS = ["<->", "->", "/\\", "\\/", "&", "~", "!", "(", ")", ",", "."]
 _KEYWORDS = {"forall", "exists", "bot"}
@@ -374,6 +357,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.kind = kind  # "prop" or "fo"
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -397,10 +381,28 @@ class _Parser:
         tok = self.peek()
         return ParseError(message, tok.line, tok.column)
 
-    # Quantifiers bind weakest: wherever an operand may start, a
-    # quantifier swallows the whole remaining formula.
-    def formula(self) -> Formula:
-        return self.iff()
+    def formula(self, min_prec: int = 1) -> Formula:
+        """Precedence climbing: a unary formula, then every binary
+        connective that binds at least as tightly as min_prec.
+        Quantifiers bind weakest: wherever an operand may start, a
+        quantifier swallows the whole remaining formula.
+
+        Every recursion of the parser comes back here within 3 frames,
+        so MAX_DEPTH keeps it well inside Python's default recursion
+        limit of 1000."""
+        if self.depth == MAX_DEPTH:
+            raise self.fail(f"formula nests deeper than {MAX_DEPTH} levels")
+        self.depth += 1
+        left = self.unary()
+        while self.peek().kind in _BINARY_OPS:
+            prec, node = _BINARY_OPS[self.peek().kind]
+            if prec < min_prec:
+                break
+            self.next()
+            # -> is right-associative, the others left-associative.
+            left = node(left, self.formula(prec if node is Implies else prec + 1))
+        self.depth -= 1
+        return left
 
     def _quantifier(self) -> Formula:
         tok = self.next()
@@ -413,49 +415,14 @@ class _Parser:
         body = self.formula()
         return Forall(var, body) if tok.kind == "forall" else Exists(var, body)
 
-    def iff(self) -> Formula:
-        left = self.impl()
-        while self.peek().kind == "<->":
-            self.next()
-            left = Iff(left, self.impl())
-        return left
-
-    def impl(self) -> Formula:
-        left = self.disj()
-        if self.peek().kind == "->":
-            self.next()
-            return Implies(left, self.impl())
-        return left
-
-    def disj(self) -> Formula:
-        left = self.conj()
-        while self.peek().kind == "\\/":
-            self.next()
-            left = Or(left, self.conj())
-        return left
-
-    def conj(self) -> Formula:
-        left = self.strong()
-        while self.peek().kind == "/\\":
-            self.next()
-            left = And(left, self.strong())
-        return left
-
-    def strong(self) -> Formula:
-        left = self.unary()
-        while self.peek().kind == "&":
-            self.next()
-            left = StrongAnd(left, self.unary())
-        return left
-
     def unary(self) -> Formula:
         tok = self.peek()
         if tok.kind == "~":
             self.next()
-            return Not(self.unary())
+            return Not(self.formula(_OPERAND))
         if tok.kind == "!":
             self.next()
-            return Delta(self.unary())
+            return Delta(self.formula(_OPERAND))
         if tok.kind in ("forall", "exists"):
             return self._quantifier()
         return self.primary()

@@ -3,7 +3,8 @@ propositional formulas, the assignment induced by a model, and the
 bounded tautology checker built from them.
 
 An atom P(j1..js) with its arguments instantiated to domain elements
-becomes the propositional variable ``p_P_j1_.._js``; quantifiers become
+becomes the propositional variable ``p_P_j1_.._js``, with each ``_`` in
+the predicate name doubled; quantifiers become
 n-fold conjunctions/disjunctions, associated to the right with the
 domain index running 1..n.
 """
@@ -24,11 +25,8 @@ from .formulas import (
     Exists,
     Forall,
     Formula,
-    Iff,
-    Implies,
     Not,
     Or,
-    StrongAnd,
     Var,
     free_variables,
     universal_closure,
@@ -37,7 +35,9 @@ from .semantics import Model, is_taut_prop
 
 
 def cell_variable(pred: str, args: tuple[int, ...]) -> str:
-    return "_".join(["p", pred] + [str(a) for a in args])
+    # Doubling "_" in the name keeps the coding injective: P(1,1) is
+    # p_P_1_1 and P_1(1) is p_P__1_1.
+    return "_".join(["p", pred.replace("_", "__")] + [str(a) for a in args])
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,8 @@ def induced_assignment(model: Model) -> dict[str, Fraction]:
     """The evaluation sending each cell variable to the value the model
     stores in that cell; total on any grounding at the model's size."""
     out: dict[str, Fraction] = {}
-    for pred, cells in model.tables:
-        for args, val in cells:
+    for pred, cells in model.tables.items():
+        for args, val in cells.items():
             out[cell_variable(pred, args)] = val
     return out
 

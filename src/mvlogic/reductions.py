@@ -15,7 +15,6 @@ from fractions import Fraction
 from .chains import (
     BaseChain,
     Chain,
-    NegationProfile,
     _equally_spaced,
     negation_profile,
     require_finite,
@@ -25,7 +24,6 @@ from .errors import NotAnMVChainError, TranslationError
 from .formulas import (
     And,
     Atom,
-    BINARY,
     Bottom,
     Delta,
     Exists,
@@ -35,11 +33,11 @@ from .formulas import (
     Implies,
     Not,
     Or,
-    QUANT,
     StrongAnd,
     desugar,
     has_delta,
     is_classical,
+    map_leaves,
     signature_of,
 )
 from .semantics import Model
@@ -80,21 +78,23 @@ def _require_wnm(chain: BaseChain) -> Chain:
     return c
 
 
+def _relabel(model: Model, fn) -> Model:
+    """The model with every cell value x replaced by fn(x)."""
+    return Model(
+        model.domain_size,
+        {
+            pred: {args: fn(val) for args, val in cells.items()}
+            for pred, cells in model.tables.items()
+        },
+    )
+
+
 def model_plus(chain: BaseChain, model: Model) -> Model:
     """Restrict a model's values to the idempotent part: cells whose
     value is outside A+ are zeroed."""
     c = _require_wnm(chain)
-    profile = negation_profile(c)
-    plus_values = {c.carrier[i] for i in profile.a_plus}
-    tables = model.as_dict()
-    out = {
-        pred: {
-            args: (val if val in plus_values else Fraction(0))
-            for args, val in cells.items()
-        }
-        for pred, cells in tables.items()
-    }
-    return Model.from_dict(model.domain_size, out)
+    plus_values = {c.carrier[i] for i in negation_profile(c).a_plus}
+    return _relabel(model, lambda val: val if val in plus_values else Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -106,11 +106,6 @@ class GodelFragment:
     embedding: tuple[int, ...]  # fragment index -> source index
     source: Chain
 
-    def embed_value(self, x: Fraction) -> Fraction:
-        """Fragment value -> source value."""
-        i = self.chain.index(x)
-        return self.source.carrier[self.embedding[i]]
-
     def restrict_value(self, x: Fraction) -> Fraction:
         """Source value in A+ or 0 -> fragment value."""
         i = self.source.index(x)
@@ -121,12 +116,7 @@ class GodelFragment:
 
     def translate_model(self, model: Model) -> Model:
         """The restricted model read through the embedding inverse."""
-        plus = model_plus(self.source, model)
-        out = {
-            pred: {args: self.restrict_value(v) for args, v in cells.items()}
-            for pred, cells in plus.as_dict().items()
-        }
-        return Model.from_dict(model.domain_size, out)
+        return _relabel(model_plus(self.source, model), self.restrict_value)
 
 
 def godel_fragment(chain: BaseChain) -> GodelFragment:
@@ -191,45 +181,24 @@ def boolean_collapse(chain: BaseChain, model: Model) -> Model:
     """Boolean model with 1 exactly in the cells whose value lies in
     A+; the chain must be an MV-chain."""
     c = _require_mv(chain)
-    profile = negation_profile(c)
-    plus_values = {c.carrier[i] for i in profile.a_plus}
-    out = {
-        pred: {
-            args: Fraction(1) if val in plus_values else Fraction(0)
-            for args, val in cells.items()
-        }
-        for pred, cells in model.as_dict().items()
-    }
-    return Model.from_dict(model.domain_size, out)
+    plus_values = {c.carrier[i] for i in negation_profile(c).a_plus}
+    return _relabel(
+        model, lambda val: Fraction(1) if val in plus_values else Fraction(0)
+    )
 
 
 # ---------------------------------------------------------------------------
 # Atom-level guards
 
 
-def _map_atoms(phi: Formula, fn) -> Formula:
-    t = type(phi)
-    if t is Atom:
-        return fn(phi)
-    if isinstance(phi, BINARY):
-        return t(_map_atoms(phi.left, fn), _map_atoms(phi.right, fn))
-    if t is Not:
-        return Not(_map_atoms(phi.sub, fn))
-    if t is Delta:
-        return Delta(_map_atoms(phi.sub, fn))
-    if isinstance(phi, QUANT):
-        return t(phi.var, _map_atoms(phi.body, fn))
-    return phi
-
-
 def double_neg(phi: Formula) -> Formula:
     """Replace every atom with its double negation; delta-free input."""
     if has_delta(phi):
         raise TranslationError("the double-negation translation is delta-free")
-    return _map_atoms(phi, lambda a: Not(Not(a)))
+    return map_leaves(phi, Atom, lambda a: Not(Not(a)))
 
 
 def delta_guard(phi: Formula) -> Formula:
     """Replace every atom a with !a; the target chain must provide
     delta (checked at evaluation time)."""
-    return _map_atoms(phi, Delta)
+    return map_leaves(phi, Atom, Delta)

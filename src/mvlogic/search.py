@@ -15,12 +15,13 @@ from fractions import Fraction
 from typing import Iterable
 
 from .chains import BaseChain, Chain, chain_from_text, chain_to_text, require_finite
-from .errors import CertificateError, FormatError
+from .errors import CertificateError, FormatError, InvalidParameterError
 from .formulas import (
     Atom,
     Formula,
     Var,
     free_variables,
+    map_leaves,
     parse,
     pretty,
     prop_variables,
@@ -46,8 +47,20 @@ class Certificate:
     chain_text: str | None = None  # optional inline copy
 
 
-def _closed(phi: Formula) -> Formula:
-    return universal_closure(phi)
+def _first_countermodel(
+    chain: BaseChain, closed: Formula, max_size: int, values: tuple[Fraction, ...]
+) -> tuple[Model, Fraction] | None:
+    """The direct scan: the canonically first model over domains
+    1..max_size with values from `values` on which the closed formula
+    is not 1, with its value."""
+    sig = signature_of(closed)
+    top = chain.top
+    for n in range(1, max_size + 1):
+        for model in enumerate_models(sig, n, values):
+            val = eval_fo(chain, model, {}, closed)
+            if val != top:
+                return model, val
+    return None
 
 
 def find_countermodel(
@@ -65,67 +78,61 @@ def find_countermodel(
     set it passed).
     """
     if max_size < 1:
-        raise ValueError("max_size must be >= 1")
+        raise InvalidParameterError("max_size must be >= 1")
     if values is None:
         values = require_finite(chain).carrier
     values = tuple(values)
     for v in values:
         if not chain.contains(v):
-            raise ValueError(f"grid value {v} is not in the carrier")
-    closed = _closed(phi)
-    sig = signature_of(closed)
-    top = chain.top
-    for n in range(1, max_size + 1):
-        for model in enumerate_models(sig, n, values):
-            val = eval_fo(chain, model, {}, closed)
-            if val != top:
-                text = chain_to_text(chain) if isinstance(chain, Chain) else None
-                return Certificate(
-                    chain_name=chain.name,
-                    chain_hash=(
-                        chain.table_hash() if isinstance(chain, Chain) else "-"
-                    ),
-                    formula_text=pretty(closed),
-                    model=model,
-                    valuation={},
-                    value=val,
-                    chain_text=text,
-                )
-    return None
+            raise InvalidParameterError(f"grid value {v} is not in the carrier")
+    closed = universal_closure(phi)
+    found = _first_countermodel(chain, closed, max_size, values)
+    if found is None:
+        return None
+    model, value = found
+    finite = isinstance(chain, Chain)
+    return Certificate(
+        chain_name=chain.name,
+        chain_hash=chain.table_hash() if finite else "-",
+        formula_text=pretty(closed),
+        model=model,
+        valuation={},
+        value=value,
+        chain_text=chain_to_text(chain) if finite else None,
+    )
 
 
 def taut_upto_direct(chain: BaseChain, phi: Formula, bound: int) -> Verdict:
     """Bounded tautology check by direct model enumeration over the
     full carrier; mirrors the grounded checker's verdicts."""
     c = require_finite(chain)
-    closed = _closed(phi)
+    closed = universal_closure(phi)
     was_open = closed is not phi
-    sig = signature_of(closed)
-    top = c.top
-    for n in range(1, bound + 1):
-        for model in enumerate_models(sig, n, c.carrier):
-            val = eval_fo(c, model, {}, closed)
-            if val != top:
-                return Verdict(
-                    False, bound, n, {"model": model, "value": val},
-                    closed_input=was_open,
-                )
-    return Verdict(True, bound, closed_input=was_open)
+    found = _first_countermodel(c, closed, bound, c.carrier)
+    if found is None:
+        return Verdict(True, bound, closed_input=was_open)
+    model, val = found
+    return Verdict(
+        False, bound, model.domain_size, {"model": model, "value": val},
+        closed_input=was_open,
+    )
 
 
 def verify_certificate(cert: Certificate, chain: BaseChain | None = None) -> bool:
     """Re-evaluate the certificate; True iff the value matches exactly
     and is strictly below 1.  A chain disagreeing with the recorded
-    hash is a hard error."""
+    hash (a finite chain needs a real hash, not "-") or a model that
+    is not a total model over the chain's carrier is a hard error."""
     if chain is None:
         if cert.chain_text is None:
             raise CertificateError("no chain given and no inline copy present")
         chain = chain_from_text(cert.chain_text, cert.chain_name)
-    if isinstance(chain, Chain) and cert.chain_hash not in ("-", chain.table_hash()):
+    if isinstance(chain, Chain) and cert.chain_hash != chain.table_hash():
         raise CertificateError(
             f"chain hash mismatch: certificate was issued for {cert.chain_name}"
         )
     phi = parse(cert.formula_text, kind="fo")
+    cert.model.validate(chain, signature_of(phi))
     if free_variables(phi) and not cert.valuation:
         return False
     val = eval_fo(chain, cert.model, cert.valuation, phi)
@@ -139,22 +146,7 @@ def lift_prop(phi: Formula) -> Formula:
     mapping = {
         name: Atom(f"P{i+1}", (f"x{i+1}",)) for i, name in enumerate(names)
     }
-    return universal_closure(_lift(phi, mapping))
-
-
-def _lift(phi: Formula, mapping: dict[str, Atom]) -> Formula:
-    from .formulas import BINARY, QUANT, UNARY
-
-    t = type(phi)
-    if t is Var:
-        return mapping[phi.name]
-    if isinstance(phi, BINARY):
-        return t(_lift(phi.left, mapping), _lift(phi.right, mapping))
-    if isinstance(phi, UNARY):
-        return t(_lift(phi.sub, mapping))
-    if isinstance(phi, QUANT):
-        return t(phi.var, _lift(phi.body, mapping))
-    return phi
+    return universal_closure(map_leaves(phi, Var, lambda var: mapping[var.name]))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +202,8 @@ def certificate_from_text(text: str) -> Certificate:
             if not line:
                 continue
             if line.startswith("chain "):
-                _, chain_name, chain_hash = line.split()
+                # The name may hold spaces; the hash never does.
+                chain_name, chain_hash = line[len("chain "):].rsplit(None, 1)
             elif line.startswith("formula "):
                 formula_text = line[len("formula "):]
             elif line == "begin chain":

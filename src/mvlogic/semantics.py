@@ -20,6 +20,7 @@ from .errors import (
     CapExceededError,
     EvaluationError,
     FormatError,
+    InvalidParameterError,
     SignatureError,
     UnsupportedChainError,
 )
@@ -37,6 +38,7 @@ from .formulas import (
     Or,
     StrongAnd,
     Var,
+    prop_variables,
 )
 
 ENUM_CAP_ENV = "MVLOGIC_ENUM_CAP"
@@ -52,61 +54,54 @@ class Model:
     """Finite model: domain {1..n} plus one value table per predicate.
 
     Tables map argument tuples to chain values; a nullary predicate has
-    the single key ().
+    the single key ().  Predicates are stored by name and cells in
+    lexicographic order, the order of the model file format.
     """
 
     domain_size: int
-    tables: tuple[tuple[str, tuple[tuple[tuple[int, ...], Fraction], ...]], ...]
+    tables: dict[str, dict[tuple[int, ...], Fraction]]
 
     @staticmethod
     def from_dict(
         domain_size: int, tables: dict[str, dict[tuple[int, ...], Fraction]]
     ) -> "Model":
-        frozen = tuple(
-            (name, tuple(sorted(cells.items())))
-            for name, cells in sorted(tables.items())
+        return Model(
+            domain_size,
+            {name: dict(sorted(cells.items())) for name, cells in sorted(tables.items())},
         )
-        return Model(domain_size, frozen)
+
+    def _cells(self, pred: str) -> dict[tuple[int, ...], Fraction]:
+        try:
+            return self.tables[pred]
+        except KeyError:
+            raise SignatureError(f"model has no table for predicate {pred}")
 
     def table(self, pred: str) -> dict[tuple[int, ...], Fraction]:
-        for name, cells in self.tables:
-            if name == pred:
-                return dict(cells)
-        raise SignatureError(f"model has no table for predicate {pred}")
+        return dict(self._cells(pred))
 
     def as_dict(self) -> dict[str, dict[tuple[int, ...], Fraction]]:
-        return {name: dict(cells) for name, cells in self.tables}
-
-    def signature(self) -> dict[str, int]:
-        sig = {}
-        for name, cells in self.tables:
-            sig[name] = len(cells[0][0]) if cells else 0
-        return sig
+        return {name: dict(cells) for name, cells in self.tables.items()}
 
     def value(self, pred: str, args: tuple[int, ...]) -> Fraction:
-        for name, cells in self.tables:
-            if name == pred:
-                for key, val in cells:
-                    if key == args:
-                        return val
-                raise SignatureError(f"model table {pred} has no cell {args}")
-        raise SignatureError(f"model has no table for predicate {pred}")
+        try:
+            return self._cells(pred)[args]
+        except KeyError:
+            raise SignatureError(f"model table {pred} has no cell {args}")
 
     def validate(self, chain: BaseChain, sig: dict[str, int] | None = None) -> None:
         """Check totality over the tuple space and carrier membership."""
-        tables = self.as_dict()
         if sig is not None:
             for pred, arity in sig.items():
-                if pred not in tables:
+                if pred not in self.tables:
                     raise SignatureError(f"missing table for predicate {pred}")
                 expected = set(
                     itertools.product(range(1, self.domain_size + 1), repeat=arity)
                 )
-                if set(tables[pred]) != expected:
+                if set(self.tables[pred]) != expected:
                     raise SignatureError(
                         f"table for {pred} does not cover all {arity}-tuples"
                     )
-        for pred, cells in tables.items():
+        for pred, cells in self.tables.items():
             for args, val in cells.items():
                 if not chain.contains(val):
                     raise SignatureError(
@@ -125,43 +120,7 @@ def eval_prop(chain: BaseChain, assignment: dict[str, Fraction], phi: Formula):
     \\/ and /\\ are evaluated as lattice join/meet, which on chains
     coincides with their derived definitions; ~a is a => 0.
     """
-    t = type(phi)
-    if t is Var:
-        try:
-            return assignment[phi.name]
-        except KeyError:
-            raise EvaluationError(f"no value assigned to variable {phi.name}")
-    if t is Bottom:
-        return chain.bottom
-    if t is Implies:
-        return chain.implies(
-            eval_prop(chain, assignment, phi.left),
-            eval_prop(chain, assignment, phi.right),
-        )
-    if t is StrongAnd:
-        return chain.star(
-            eval_prop(chain, assignment, phi.left),
-            eval_prop(chain, assignment, phi.right),
-        )
-    if t is And:
-        return chain.meet(
-            eval_prop(chain, assignment, phi.left),
-            eval_prop(chain, assignment, phi.right),
-        )
-    if t is Or:
-        return chain.join(
-            eval_prop(chain, assignment, phi.left),
-            eval_prop(chain, assignment, phi.right),
-        )
-    if t is Not:
-        return chain.neg(eval_prop(chain, assignment, phi.sub))
-    if t is Iff:
-        a = eval_prop(chain, assignment, phi.left)
-        b = eval_prop(chain, assignment, phi.right)
-        return chain.meet(chain.implies(a, b), chain.implies(b, a))
-    if t is Delta:
-        return chain.delta(eval_prop(chain, assignment, phi.sub))
-    raise EvaluationError(f"not a propositional node: {phi!r}")
+    return _eval(chain, assignment, None, {}, phi)
 
 
 def eval_fo(
@@ -173,16 +132,17 @@ def eval_fo(
     """Truth value of a first-order formula: atoms through the model
     tables, connectives homomorphically, quantifiers as min/max over
     domain variants."""
-    tables = model.as_dict()
-    n = model.domain_size
-    return _eval_fo(chain, tables, n, dict(valuation), phi)
+    return _eval(chain, {}, model, dict(valuation), phi)
 
 
-def _eval_fo(chain, tables, n, v, phi):
+def _eval(chain, assignment, model, v, phi):
+    """The one Fraction evaluator: Var reads the assignment, Atom reads
+    the model tables under the valuation v (mutated and restored by the
+    quantifiers).  model is None for propositional evaluation."""
     t = type(phi)
-    if t is Atom:
+    if t is Atom and model is not None:
         try:
-            table = tables[phi.pred]
+            table = model.tables[phi.pred]
         except KeyError:
             raise SignatureError(f"model has no table for predicate {phi.pred}")
         try:
@@ -193,42 +153,47 @@ def _eval_fo(chain, tables, n, v, phi):
             return table[args]
         except KeyError:
             raise SignatureError(f"table {phi.pred} has no cell {args}")
+    if t is Var:
+        try:
+            return assignment[phi.name]
+        except KeyError:
+            raise EvaluationError(f"no value assigned to variable {phi.name}")
     if t is Bottom:
         return chain.bottom
     if t is Implies:
         return chain.implies(
-            _eval_fo(chain, tables, n, v, phi.left),
-            _eval_fo(chain, tables, n, v, phi.right),
+            _eval(chain, assignment, model, v, phi.left),
+            _eval(chain, assignment, model, v, phi.right),
         )
     if t is StrongAnd:
         return chain.star(
-            _eval_fo(chain, tables, n, v, phi.left),
-            _eval_fo(chain, tables, n, v, phi.right),
+            _eval(chain, assignment, model, v, phi.left),
+            _eval(chain, assignment, model, v, phi.right),
         )
     if t is And:
         return chain.meet(
-            _eval_fo(chain, tables, n, v, phi.left),
-            _eval_fo(chain, tables, n, v, phi.right),
+            _eval(chain, assignment, model, v, phi.left),
+            _eval(chain, assignment, model, v, phi.right),
         )
     if t is Or:
         return chain.join(
-            _eval_fo(chain, tables, n, v, phi.left),
-            _eval_fo(chain, tables, n, v, phi.right),
+            _eval(chain, assignment, model, v, phi.left),
+            _eval(chain, assignment, model, v, phi.right),
         )
     if t is Not:
-        return chain.neg(_eval_fo(chain, tables, n, v, phi.sub))
+        return chain.neg(_eval(chain, assignment, model, v, phi.sub))
     if t is Iff:
-        a = _eval_fo(chain, tables, n, v, phi.left)
-        b = _eval_fo(chain, tables, n, v, phi.right)
+        a = _eval(chain, assignment, model, v, phi.left)
+        b = _eval(chain, assignment, model, v, phi.right)
         return chain.meet(chain.implies(a, b), chain.implies(b, a))
     if t is Delta:
-        return chain.delta(_eval_fo(chain, tables, n, v, phi.sub))
-    if t is Forall or t is Exists:
+        return chain.delta(_eval(chain, assignment, model, v, phi.sub))
+    if (t is Forall or t is Exists) and model is not None:
         saved = v.get(phi.var)
         best = None
-        for el in range(1, n + 1):
+        for el in range(1, model.domain_size + 1):
             v[phi.var] = el
-            val = _eval_fo(chain, tables, n, v, phi.body)
+            val = _eval(chain, assignment, model, v, phi.body)
             if best is None:
                 best = val
             elif t is Forall:
@@ -240,7 +205,7 @@ def _eval_fo(chain, tables, n, v, phi):
         else:
             v[phi.var] = saved
         return best
-    raise EvaluationError(f"not a first-order node: {phi!r}")
+    raise EvaluationError(f"cannot evaluate node {phi!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +259,14 @@ def is_taut_prop(
 
     Returns (True, None) or (False, witness) where the witness is the
     lexicographically first failing assignment (variables sorted by
-    name, values in carrier order).
+    name, values in carrier order).  Raises CapExceededError upfront if
+    the assignment count exceeds the enumeration cap.
     """
     c = require_finite(chain)
-    from .formulas import prop_variables
-
     names = sorted(prop_variables(phi))
     fn = compile_prop(c, phi, {name: i for i, name in enumerate(names)})
     top = c.size - 1
-    for indices in itertools.product(range(c.size), repeat=len(names)):
+    for indices in _product(range(c.size), len(names), "assignments"):
         if fn(indices) != top:
             witness = {name: c.carrier[i] for name, i in zip(names, indices)}
             return False, witness
@@ -311,6 +275,17 @@ def is_taut_prop(
 
 # ---------------------------------------------------------------------------
 # Model enumeration
+
+
+def _product(values, slots: int, what: str, cap: int | None = None):
+    """itertools.product(values, repeat=slots), the one exhaustive scan
+    of assignments and models; raises CapExceededError upfront if its
+    size exceeds the cap (MVLOGIC_ENUM_CAP, default 20e6)."""
+    cap = enumeration_cap() if cap is None else cap
+    total = len(values) ** slots
+    if total > cap:
+        raise CapExceededError(f"{total} {what} exceed the enumeration cap {cap}")
+    return itertools.product(values, repeat=slots)
 
 
 def count_models(sig: dict[str, int], n: int, values) -> int:
@@ -333,26 +308,20 @@ def enumerate_models(
     """
     values = tuple(values)
     if not values:
-        raise ValueError("value set must be nonempty")
+        raise InvalidParameterError("value set must be nonempty")
     if n < 1:
-        raise ValueError("domain size must be >= 1")
-    cap = enumeration_cap() if cap is None else cap
-    total = count_models(sig, n, len(values))
-    if total > cap:
-        raise CapExceededError(
-            f"{total} models exceed the enumeration cap {cap}"
-        )
+        raise InvalidParameterError("domain size must be >= 1")
     preds = sorted(sig)
     cells = [
         (pred, args)
         for pred in preds
         for args in itertools.product(range(1, n + 1), repeat=sig[pred])
     ]
-    for choice in itertools.product(values, repeat=len(cells)):
+    for choice in _product(values, len(cells), "models", cap):
         tables: dict[str, dict[tuple[int, ...], Fraction]] = {p: {} for p in preds}
         for (pred, args), val in zip(cells, choice):
             tables[pred][args] = val
-        yield Model.from_dict(n, tables)
+        yield Model(n, tables)  # cells are generated in canonical order
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +335,10 @@ def enumerate_models(
 
 def model_to_text(model: Model) -> str:
     lines = ["mtlmodel 1", f"domain {model.domain_size}"]
-    for name, cells in model.tables:
-        arity = len(cells[0][0]) if cells else 0
+    for name, cells in model.tables.items():
+        arity = len(next(iter(cells), ()))
         lines.append(f"pred {name} {arity}")
-        for args, val in sorted(cells):
+        for args, val in sorted(cells.items()):
             lines.append(" ".join(str(a) for a in args) + (" " if args else "") + str(val))
     return "\n".join(lines) + "\n"
 

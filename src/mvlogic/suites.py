@@ -11,11 +11,9 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import corpus
 from .chains import (
-    BaseChain,
     Chain,
     check_chain,
     delta_expand,
@@ -28,9 +26,7 @@ from .chains import (
 from .formulas import (
     Formula,
     free_variables,
-    has_delta,
     pretty,
-    prop_variables,
     signature_of,
     subformulas,
     universal_closure,

@@ -5,10 +5,10 @@ import pytest
 from mvlogic import (
     Chain,
     ChainLawError,
+    FormatError,
     IDENTITIES,
     InvalidNegationError,
     InvalidParameterError,
-    NoResiduumError,
     NotAnMVChainError,
     UnsupportedChainError,
     chain_from_text,
@@ -21,7 +21,6 @@ from mvlogic import (
     negation_profile,
     ordinal_sum,
     parse,
-    residuum_from_star,
     satisfies_identity,
     subchains,
     trivial_chain,
@@ -81,8 +80,8 @@ class TestMakeChain:
 class TestResiduum:
     def test_luk2(self):
         c = make_chain("lukasiewicz", 2)
-        table = residuum_from_star(c.star_table, c.carrier)
-        assert c.carrier[table[1][0]] == F(1, 2)
+        assert c.residuum_table == ((2, 2, 2), (1, 2, 2), (0, 1, 2))
+        assert c.carrier[c.residuum_table[1][0]] == F(1, 2)
 
     def test_x_le_y_gives_top(self):
         for c in [make_chain("nm", 5), make_chain("dp", 6)]:
@@ -103,8 +102,13 @@ class TestResiduum:
         # star(1/2,1/2)=1 on the Luk2 labels is not monotone in the
         # order-compatible sense required for a residuum to exist.
         star = ((0, 0, 0), (0, 2, 1), (0, 1, 2))
-        with pytest.raises(NoResiduumError):
-            residuum_from_star(star, (F(0), F(1, 2), F(1)))
+        chain = Chain("bad", (F(0), F(1, 2), F(1)), star)
+        laws = {v.law for v in check_chain(chain).violations}
+        assert {"monotonicity", "residuation"} <= laws
+        text = "mtlchain 1\nsize 3\nlabels 0 1/2 1\ndelta 0\n"
+        text += "".join(" ".join(map(str, row)) + "\n" for row in star)
+        with pytest.raises(ChainLawError):
+            chain_from_text(text)
 
 
 class TestWnmChain:
@@ -319,6 +323,14 @@ class TestChainFiles:
         with pytest.raises(ChainLawError) as exc:
             chain_from_text("\n".join(lines) + "\n")
         assert "monotonicity" in str(exc.value) or "residuation" in str(exc.value)
+
+    def test_impossible_sizes_rejected(self):
+        # size 0, and a one-element carrier labelled other than 1.
+        with pytest.raises(FormatError):
+            chain_from_text("mtlchain 1\nsize 0\nlabels\ndelta 0\n")
+        with pytest.raises(ChainLawError):
+            chain_from_text("mtlchain 1\nsize 1\nlabels 5\ndelta 0\n0\n")
+        assert chain_from_text(chain_to_text(trivial_chain())).size == 1
 
     def test_whitespace_tolerant(self):
         text = chain_to_text(make_chain("lukasiewicz", 2))

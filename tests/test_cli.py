@@ -165,6 +165,69 @@ class TestSuiteCommand:
         assert exc.value.code == 2
 
 
+FORGED_CERT = """mtlcert 1
+chain lukasiewicz(2) {hash}
+formula (forall x. P(x))
+begin model
+mtlmodel 1
+domain 1
+pred P 1
+1 1/3
+end model
+valuation
+value 1/3
+"""
+
+
+class TestBadInputExits2:
+    """Bad input exits 2 (never 1, which means refuted) with an error
+    line and no traceback."""
+
+    @pytest.fixture
+    def files(self, tmp_path, luk2_file):
+        def write(name, text):
+            path = tmp_path / name
+            path.write_text(text)
+            return str(path)
+
+        l2 = make_chain("lukasiewicz", 2)
+        return {
+            "luk2": luk2_file,
+            "size0": write("s0.chain", "mtlchain 1\nsize 0\nlabels\ndelta 0\n"),
+            "label5": write("l5.chain", "mtlchain 1\nsize 1\nlabels 5\ndelta 0\n0\n"),
+            "forged": write("f.cert", FORGED_CERT.format(hash=l2.table_hash())),
+            "nohash": write("n.cert", FORGED_CERT.replace("1/3", "0").format(hash="-")),
+            "third": write("m.model", model_to_text(
+                Model.from_dict(1, {"P": {(1,): F(1, 3)}}))),
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--chain", "{luk2}", "--max-size", "0", "--formula", "forall x. P(x)"],
+        ["search", "--chain", "{luk2}", "--max-size", "1", "--grid", "0",
+         "--formula", "forall x. P(x)"],
+        ["parse", "--kind", "prop", "--formula", "~" * 5000 + "p"],
+        ["chain", "check", "{size0}"],
+        ["chain", "check", "{label5}"],
+        ["verify", "--certificate", "{forged}", "--chain", "{luk2}"],
+        ["verify", "--certificate", "{nohash}", "--chain", "{luk2}"],
+        ["eval", "--chain", "{luk2}", "--model", "{third}", "--formula", "P(x)"],
+        ["modelmap", "--pass", "boolean-collapse", "--chain", "{luk2}",
+         "--model", "{third}"],
+    ], ids=["max-size-0", "grid-0", "deep", "size-0", "label-5", "forged",
+            "no-hash", "eval", "modelmap"])
+    def test_exit_2(self, files, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main_argv([arg.format(**files) for arg in argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_deep_formula_subprocess(self):
+        result = run_mvlogic(["parse", "--kind", "prop", "--formula", "~" * 5000 + "p"])
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+
+
 def main_argv(argv):
     """Invoke main() with a patched argv."""
     import sys

@@ -26,6 +26,7 @@ from mvlogic import (
     universal_closure,
 )
 from mvlogic.corpus import random_formula, random_propositional
+from mvlogic.formulas import MAX_DEPTH
 
 
 class TestParse:
@@ -50,6 +51,18 @@ class TestParse:
             parse("p -> )", kind="prop")
         assert exc.value.line == 1
         assert exc.value.column > 0
+
+    @pytest.mark.parametrize("open_, close", [("~", ""), ("!", ""), ("(", ")"),
+                                               ("forall x. ", ""), ("P(x) -> ", "")])
+    def test_depth_limit(self, open_, close):
+        def nest(depth):
+            return open_ * depth + "P(x)" + close * depth
+
+        parse(nest(MAX_DEPTH - 1))
+        with pytest.raises(ParseError):
+            parse(nest(MAX_DEPTH))
+        with pytest.raises(ParseError):
+            parse(nest(5000))
 
     def test_precedence(self):
         # ~,! > & > /\ > \/ > -> > <->

@@ -15,6 +15,7 @@ from mvlogic import (
     parse,
     pretty,
     signature_of,
+    taut_upto_direct,
     taut_upto_grounded,
     universal_closure,
     witness_model,
@@ -59,6 +60,11 @@ class TestGround:
 
         g = ground(parse("forall x. (P(x) -> exists y. R(x,y))"), 2)
         assert set(prop_variables(g.formula)) == set(g.legend)
+
+    def test_cell_names_injective(self):
+        # Without escaping "_", P(1,1) and P_1(1) share p_P_1_1.
+        g = ground(parse("forall x. forall y. (P(x,y) -> P_1(y))"), 1)
+        assert g.legend == {"p_P_1_1": ("P", (1, 1)), "p_P__1_1": ("P_1", (1,))}
 
 
 class TestInducedAssignment:
@@ -131,6 +137,17 @@ class TestTautUpto:
         assert m.domain_size == 1
         assert m.value("P", (1,)) == F(1, 2)
         assert eval_fo(L2, m, {}, parse(r"forall x. (P(x) \/ ~P(x))")) < F(1)
+
+    def test_underscore_names_agree_with_direct(self):
+        b = make_chain("boolean")
+        phi = parse("forall x. forall y. (P(x,y) -> P_1(y))")
+        grounded = taut_upto_grounded(b, phi, 1)
+        direct = taut_upto_direct(b, phi, 1)
+        assert (grounded.is_taut, grounded.refuted_at) == (False, 1)
+        assert (direct.is_taut, direct.refuted_at) == (False, 1)
+        m = witness_model(grounded.grounded, grounded.witness)
+        assert m.tables == {"P": {(1, 1): F(1)}, "P_1": {(1,): F(0)}}
+        assert eval_fo(b, m, {}, phi) == F(0)
 
     def test_describe(self):
         v = taut_upto_grounded(make_chain("boolean"),

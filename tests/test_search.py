@@ -5,11 +5,15 @@ import pytest
 
 from mvlogic import (
     CertificateError,
+    InvalidParameterError,
+    Model,
+    SignatureError,
     certificate_from_text,
     certificate_to_text,
     find_countermodel,
     lift_prop,
     make_chain,
+    make_wnm_chain,
     parse,
     pretty,
     taut_upto_direct,
@@ -40,6 +44,15 @@ class TestFindCountermodel:
         assert cert.model.domain_size == 1
         assert list(cert.model.table("P1").values()) == [F(2, 3)]
 
+    @pytest.mark.parametrize("max_size, values", [
+        (0, None),
+        (1, [F(1, 3)]),  # not in the carrier of lukasiewicz(2)
+        (1, []),
+    ])
+    def test_bad_parameters(self, max_size, values):
+        with pytest.raises(InvalidParameterError):
+            find_countermodel(L2, LEM, max_size, values)
+
     def test_canonically_first(self):
         a = find_countermodel(L2, LEM, 3)
         b = find_countermodel(L2, LEM, 3)
@@ -61,12 +74,37 @@ class TestVerify:
         with pytest.raises(CertificateError):
             verify_certificate(cert, L3)
 
+    def test_out_of_carrier_forgery_rejected(self):
+        cert = find_countermodel(L2, parse("forall x. P(x)"), 1)
+        forged = dataclasses.replace(
+            cert, model=Model.from_dict(1, {"P": {(1,): F(1, 3)}}), value=F(1, 3)
+        )
+        with pytest.raises(SignatureError):
+            verify_certificate(forged)
+        with pytest.raises(SignatureError):
+            verify_certificate(certificate_from_text(certificate_to_text(forged)))
+
+    def test_no_hash_needs_rational_chain(self):
+        cert = find_countermodel(L2, LEM, 1)
+        with pytest.raises(CertificateError):
+            verify_certificate(dataclasses.replace(cert, chain_hash="-"))
+
     def test_text_round_trip(self):
         cert = find_countermodel(L3, LEM, 2)
         again = certificate_from_text(certificate_to_text(cert))
         assert again.value == cert.value
         assert again.model == cert.model
         assert again.chain_hash == cert.chain_hash
+        assert verify_certificate(again)
+
+    def test_chain_name_with_spaces_round_trips(self):
+        chain = make_wnm_chain([4, 3, 1, 1, 0])
+        assert chain.name == "wnm[4, 3, 1, 1, 0]"
+        cert = find_countermodel(chain, parse("forall x. P(x)"), 1)
+        text = certificate_to_text(cert)
+        again = certificate_from_text(text)
+        assert again == cert
+        assert certificate_to_text(again) == text
         assert verify_certificate(again)
 
 

@@ -206,6 +206,15 @@ class TestEnumerateModels:
         with pytest.raises(CapExceededError):
             list(enumerate_models({"R": 2}, 2, L2.carrier))
 
+    def test_cap_bounds_assignments(self, monkeypatch):
+        # 2^8 = 256 assignments; the first one already refutes the formula.
+        phi = parse(" /\\ ".join(f"p{i}" for i in range(8)), kind="prop")
+        monkeypatch.setenv("MVLOGIC_ENUM_CAP", "256")
+        assert is_taut_prop(make_chain("boolean"), phi)[0] is False
+        monkeypatch.setenv("MVLOGIC_ENUM_CAP", "10")
+        with pytest.raises(CapExceededError):
+            is_taut_prop(make_chain("boolean"), phi)
+
 
 class TestFoAxiomSoundness:
     def test_samples(self):
