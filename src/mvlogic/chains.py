@@ -132,16 +132,6 @@ class Chain(BaseChain):
     def implies(self, x: Fraction, y: Fraction) -> Fraction:
         return self.carrier[self.residuum_table[self.index(x)][self.index(y)]]
 
-    # --- index-level helpers, used by exhaustive scans -------------------
-    def star_i(self, i: int, j: int) -> int:
-        return self.star_table[i][j]
-
-    def implies_i(self, i: int, j: int) -> int:
-        return self.residuum_table[i][j]
-
-    def neg_i(self, i: int) -> int:
-        return self.residuum_table[i][0]
-
     def table_hash(self) -> str:
         """Hash of the canonical serialization, used in certificates."""
         return hashlib.sha256(chain_to_text(self).encode()).hexdigest()
@@ -315,7 +305,7 @@ def make_wnm_chain(neg: Sequence[int], name: str = "") -> Chain:
     chain = Chain(name or f"wnm{list(neg)}", carrier, table)
     # The chain's derived negation must coincide with the given one.
     for i in range(k):
-        if chain.neg_i(i) != neg[i]:
+        if chain.residuum_table[i][0] != neg[i]:
             raise InvalidNegationError(
                 f"derived negation differs from neg at index {i}"
             )
@@ -482,8 +472,9 @@ class NegationProfile:
 
 def negation_profile(chain: BaseChain) -> NegationProfile:
     c = require_finite(chain)
-    plus = frozenset(i for i in range(c.size) if i > c.neg_i(i))
-    fix = next((i for i in range(c.size) if i == c.neg_i(i)), None)
+    neg = [row[0] for row in c.residuum_table]
+    plus = frozenset(i for i in range(c.size) if i > neg[i])
+    fix = next((i for i in range(c.size) if i == neg[i]), None)
     return NegationProfile(plus, fix)
 
 
@@ -502,7 +493,7 @@ def subchains(chain: BaseChain) -> list[tuple[int, ...]]:
         members = (0,) + subset + (k - 1,) if k > 1 else (0,)
         mset = set(members)
         closed = all(
-            c.star_i(i, j) in mset and c.implies_i(i, j) in mset
+            c.star_table[i][j] in mset and c.residuum_table[i][j] in mset
             for i in members
             for j in members
         )
@@ -544,8 +535,8 @@ def ordinal_sum(first: BaseChain, second: BaseChain, name: str = "") -> Chain:
         if block(i) != block(j):
             return i
         if block(i) == 0:
-            return a.star_i(i, j)
-        return ka - 1 + b.star_i(i - ka + 1, j - ka + 1)
+            return a.star_table[i][j]
+        return ka - 1 + b.star_table[i - ka + 1][j - ka + 1]
 
     table = tuple(tuple(star_i(i, j) for j in range(k)) for i in range(k))
     carrier = _equally_spaced(k)

@@ -347,6 +347,9 @@ def main() -> None:
     except MvlogicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
+    except RecursionError:
+        print("error: the input builds too deep a formula", file=sys.stderr)
+        sys.exit(2)
 
 
 if __name__ == "__main__":

@@ -285,8 +285,10 @@ def pretty(phi: Formula) -> str:
 
 # Nesting levels the parser may open: one for each parenthesis,
 # quantifier body, operand of ~ or !, and right operand of a binary
-# connective, inside the level it appears in.  Deeper input is a
-# ParseError.
+# connective, inside the level it appears in.  The formula it builds may
+# be no higher either, counting a leaf as one level, so that a long flat
+# chain of one connective, which the parser reads in a loop, cannot
+# overflow the recursive walks.  Deeper input is a ParseError.
 MAX_DEPTH = 250
 
 # Binary connectives by token: (precedence, node), tightest highest.
@@ -381,11 +383,12 @@ class _Parser:
         tok = self.peek()
         return ParseError(message, tok.line, tok.column)
 
-    def formula(self, min_prec: int = 1) -> Formula:
+    def formula(self, min_prec: int = 1) -> tuple[Formula, int]:
         """Precedence climbing: a unary formula, then every binary
         connective that binds at least as tightly as min_prec.
         Quantifiers bind weakest: wherever an operand may start, a
-        quantifier swallows the whole remaining formula.
+        quantifier swallows the whole remaining formula.  Returns the
+        formula and its height.
 
         Every recursion of the parser comes back here within 3 frames,
         so MAX_DEPTH keeps it well inside Python's default recursion
@@ -393,18 +396,21 @@ class _Parser:
         if self.depth == MAX_DEPTH:
             raise self.fail(f"formula nests deeper than {MAX_DEPTH} levels")
         self.depth += 1
-        left = self.unary()
+        left, height = self.unary()
         while self.peek().kind in _BINARY_OPS:
             prec, node = _BINARY_OPS[self.peek().kind]
             if prec < min_prec:
                 break
             self.next()
             # -> is right-associative, the others left-associative.
-            left = node(left, self.formula(prec if node is Implies else prec + 1))
+            right, right_height = self.formula(prec if node is Implies else prec + 1)
+            left, height = node(left, right), max(height, right_height) + 1
+        if height > MAX_DEPTH:
+            raise self.fail(f"formula nests deeper than {MAX_DEPTH} levels")
         self.depth -= 1
-        return left
+        return left, height
 
-    def _quantifier(self) -> Formula:
+    def _quantifier(self) -> tuple[Formula, int]:
         tok = self.next()
         if self.kind == "prop":
             raise ParseError(
@@ -412,22 +418,21 @@ class _Parser:
             )
         var = self.expect("name").text
         self.expect(".")
-        body = self.formula()
-        return Forall(var, body) if tok.kind == "forall" else Exists(var, body)
+        body, height = self.formula()
+        node = Forall if tok.kind == "forall" else Exists
+        return node(var, body), height + 1
 
-    def unary(self) -> Formula:
+    def unary(self) -> tuple[Formula, int]:
         tok = self.peek()
-        if tok.kind == "~":
+        if tok.kind in ("~", "!"):
             self.next()
-            return Not(self.formula(_OPERAND))
-        if tok.kind == "!":
-            self.next()
-            return Delta(self.formula(_OPERAND))
+            sub, height = self.formula(_OPERAND)
+            return (Not if tok.kind == "~" else Delta)(sub), height + 1
         if tok.kind in ("forall", "exists"):
             return self._quantifier()
         return self.primary()
 
-    def primary(self) -> Formula:
+    def primary(self) -> tuple[Formula, int]:
         tok = self.peek()
         if tok.kind == "(":
             self.next()
@@ -436,7 +441,7 @@ class _Parser:
             return inner
         if tok.kind == "bot":
             self.next()
-            return BOT
+            return BOT, 1
         if tok.kind == "name":
             self.next()
             if self.peek().kind == "(":
@@ -452,10 +457,8 @@ class _Parser:
                     self.next()
                     args.append(self.expect("name").text)
                 self.expect(")")
-                return Atom(tok.text, tuple(args))
-            if self.kind == "fo":
-                return Atom(tok.text, ())
-            return Var(tok.text)
+                return Atom(tok.text, tuple(args)), 1
+            return (Atom(tok.text, ()) if self.kind == "fo" else Var(tok.text)), 1
         raise self.fail(f"expected a formula, found {tok.text or 'end of input'!r}")
 
 
@@ -469,7 +472,7 @@ def parse(text: str, kind: str = "fo") -> Formula:
     if kind not in ("prop", "fo"):
         raise ValueError(f"kind must be 'prop' or 'fo', got {kind!r}")
     parser = _Parser(_tokenize(text), kind)
-    phi = parser.formula()
+    phi, _ = parser.formula()
     tok = parser.peek()
     if tok.kind != "eof":
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)

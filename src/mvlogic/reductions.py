@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chains import (
+    ZERO,
     BaseChain,
     Chain,
     _equally_spaced,
@@ -71,13 +72,6 @@ def _wnm_star(phi: Formula) -> Formula:
     raise TranslationError(f"unexpected node after desugaring: {phi!r}")
 
 
-def _require_wnm(chain: BaseChain) -> Chain:
-    c = require_finite(chain)
-    if not satisfies_identity(c, "wnm"):
-        raise TranslationError(f"{c.name} is not a WNM chain")
-    return c
-
-
 def _relabel(model: Model, fn) -> Model:
     """The model with every cell value x replaced by fn(x)."""
     return Model(
@@ -89,14 +83,6 @@ def _relabel(model: Model, fn) -> Model:
     )
 
 
-def model_plus(chain: BaseChain, model: Model) -> Model:
-    """Restrict a model's values to the idempotent part: cells whose
-    value is outside A+ are zeroed."""
-    c = _require_wnm(chain)
-    plus_values = {c.carrier[i] for i in negation_profile(c).a_plus}
-    return _relabel(model, lambda val: val if val in plus_values else Fraction(0))
-
-
 @dataclass(frozen=True)
 class GodelFragment:
     """The Goedel chain carried by A+ together with 0, plus the order
@@ -105,31 +91,44 @@ class GodelFragment:
     chain: Chain
     embedding: tuple[int, ...]  # fragment index -> source index
     source: Chain
+    to_fragment: dict[Fraction, Fraction]  # source value in A+ or 0 -> fragment value
+
+    def model_plus(self, model: Model) -> Model:
+        """The model with every value outside A+ zeroed."""
+        return _relabel(model, lambda val: val if val in self.to_fragment else ZERO)
 
     def restrict_value(self, x: Fraction) -> Fraction:
         """Source value in A+ or 0 -> fragment value."""
-        i = self.source.index(x)
         try:
-            return self.chain.carrier[self.embedding.index(i)]
-        except ValueError:
+            return self.to_fragment[x]
+        except KeyError:
+            self.source.index(x)  # a value off the carrier is a bad parameter
             raise TranslationError(f"{x} is not in the fragment support")
 
     def translate_model(self, model: Model) -> Model:
         """The restricted model read through the embedding inverse."""
-        return _relabel(model_plus(self.source, model), self.restrict_value)
+        return _relabel(model, lambda val: self.to_fragment.get(val, ZERO))
+
+
+def model_plus(chain: BaseChain, model: Model) -> Model:
+    """Restrict a model's values to the idempotent part: cells whose
+    value is outside A+ are zeroed."""
+    return godel_fragment(chain).model_plus(model)
 
 
 def godel_fragment(chain: BaseChain) -> GodelFragment:
     """Extract the Goedel chain with support A+ together with bottom,
     relabeled to equally spaced rationals."""
-    c = _require_wnm(chain)
-    profile = negation_profile(c)
-    support = sorted({0} | set(profile.a_plus))
+    c = require_finite(chain)
+    if not satisfies_identity(c, "wnm"):
+        raise TranslationError(f"{c.name} is not a WNM chain")
+    support = sorted({0} | set(negation_profile(c).a_plus))
     k = len(support)
     carrier = _equally_spaced(k)
     table = tuple(tuple(min(i, j) for j in range(k)) for i in range(k))
     godel = Chain(f"godel_fragment({c.name})", carrier, table)
-    return GodelFragment(godel, tuple(support), c)
+    to_fragment = {c.carrier[i]: x for i, x in zip(support, carrier)}
+    return GodelFragment(godel, tuple(support), c, to_fragment)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,8 @@ def _first_countermodel(
     """The direct scan: the canonically first model over domains
     1..max_size with values from `values` on which the closed formula
     is not 1, with its value."""
+    if max_size < 1:
+        raise InvalidParameterError(f"max_size must be >= 1, got {max_size}")
     sig = signature_of(closed)
     top = chain.top
     for n in range(1, max_size + 1):
@@ -77,8 +79,6 @@ def find_countermodel(
     is inconclusive (the caller knows which case it is from the value
     set it passed).
     """
-    if max_size < 1:
-        raise InvalidParameterError("max_size must be >= 1")
     if values is None:
         values = require_finite(chain).carrier
     values = tuple(values)

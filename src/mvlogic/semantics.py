@@ -277,11 +277,11 @@ def is_taut_prop(
 # Model enumeration
 
 
-def _product(values, slots: int, what: str, cap: int | None = None):
+def _product(values, slots: int, what: str):
     """itertools.product(values, repeat=slots), the one exhaustive scan
     of assignments and models; raises CapExceededError upfront if its
     size exceeds the cap (MVLOGIC_ENUM_CAP, default 20e6)."""
-    cap = enumeration_cap() if cap is None else cap
+    cap = enumeration_cap()
     total = len(values) ** slots
     if total > cap:
         raise CapExceededError(f"{total} {what} exceed the enumeration cap {cap}")
@@ -298,7 +298,6 @@ def enumerate_models(
     sig: dict[str, int],
     n: int,
     values: Iterable[Fraction],
-    cap: int | None = None,
 ) -> Iterator[Model]:
     """All models over domain {1..n} with table values drawn from
     `values`, in canonical order.
@@ -317,7 +316,7 @@ def enumerate_models(
         for pred in preds
         for args in itertools.product(range(1, n + 1), repeat=sig[pred])
     ]
-    for choice in _product(values, len(cells), "models", cap):
+    for choice in _product(values, len(cells), "models"):
         tables: dict[str, dict[tuple[int, ...], Fraction]] = {p: {} for p in preds}
         for (pred, args), val in zip(cells, choice):
             tables[pred][args] = val

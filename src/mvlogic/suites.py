@@ -7,10 +7,12 @@ The suites double as the acceptance surface; the CLI exposes them as
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 from . import corpus
 from .chains import (
@@ -38,12 +40,13 @@ from .reductions import (
     double_neg,
     godel_fragment,
     luk_star,
-    model_plus,
     predef,
     wnm_star,
 )
 from .search import find_countermodel, lift_prop, taut_upto_direct, verify_certificate
 from .semantics import Model, enumerate_models, eval_fo, eval_prop, is_taut_prop
+
+Cases = Iterator[tuple[bool, str]]  # what a suite yields: (passed, failure message)
 
 
 @dataclass
@@ -67,14 +70,20 @@ class SuiteReport:
         return f"suite {self.name}: {status}, {self.cases} cases, {self.seconds:.2f}s"
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs) -> SuiteReport:
+def _suite(name: str, cases: Callable[..., Cases]) -> Callable[..., SuiteReport]:
+    """A SUITES entry: runs the generator of (ok, message) cases that a
+    suite_* function returns and reports on it."""
+
+    @functools.wraps(cases)
+    def run(*args, **kwargs) -> SuiteReport:
+        report = SuiteReport(name)
         t0 = time.perf_counter()
-        report = fn(*args, **kwargs)
+        for ok, message in cases(*args, **kwargs):
+            report.case(ok, message)
         report.seconds = time.perf_counter() - t0
         return report
 
-    return wrapper
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +119,13 @@ LEMMA_TR_CHAINS = (
 )
 
 
-def _verdict_key(v):
-    return (v.is_taut, v.refuted_at)
+def _agree(chain: Chain, phi: Formula, left, right) -> tuple[bool, str]:
+    """The case that two bounded verdicts agree on tautology and on
+    the size that refutes."""
+    return (
+        (left.is_taut, left.refuted_at) == (right.is_taut, right.refuted_at),
+        f"{chain.name} {pretty(phi)}: {left.describe()} vs {right.describe()}",
+    )
 
 
 def _all_models(phi: Formula, chain: Chain, max_n: int):
@@ -134,27 +148,22 @@ def _random_model(rng: random.Random, sig, n: int, carrier) -> Model:
 # Suites
 
 
-@_timed
-def suite_residuation(max_size: int = 12) -> SuiteReport:
+def suite_residuation(max_size: int = 12) -> Cases:
     """Every shipped chain up to max_size passes the exhaustive law
     check, residuation biconditional included."""
-    report = SuiteReport("residuation")
     for chain in shipped_chains(max_size):
         result = check_chain(chain)
-        report.case(
+        yield (
             result.all_pass,
             f"{chain.name}: " + "; ".join(v.law for v in result.violations),
         )
-    return report
 
 
-@_timed
-def suite_lemma_tr(trials: int = 200, seed: int = 7, exhaustive_n: int = 2) -> SuiteReport:
+def suite_lemma_tr(trials: int = 200, seed: int = 7, exhaustive_n: int = 2) -> Cases:
     """First-order truth value equals the grounded propositional value
     under the induced assignment: exhaustive on the fixed corpus at
     n <= exhaustive_n, plus seeded random formulas with sampled models
     at n <= 3."""
-    report = SuiteReport("lemma-tr")
     for name, mk in LEMMA_TR_CHAINS:
         chain = mk()
         for phi in corpus.fixed_corpus():
@@ -165,7 +174,7 @@ def suite_lemma_tr(trials: int = 200, seed: int = 7, exhaustive_n: int = 2) -> S
                 for model in enumerate_models(sig, n, chain.carrier):
                     direct = eval_fo(chain, model, {}, closed)
                     coded = eval_prop(chain, induced_assignment(model), g.formula)
-                    report.case(
+                    yield (
                         direct == coded,
                         f"{name} {pretty(phi)} n={n}: {direct} != {coded}",
                     )
@@ -183,18 +192,15 @@ def suite_lemma_tr(trials: int = 200, seed: int = 7, exhaustive_n: int = 2) -> S
             direct = eval_fo(chain, model, {}, phi)
             g = ground(phi, n)
             coded = eval_prop(chain, induced_assignment(model), g.formula)
-            report.case(
+            yield (
                 direct == coded,
                 f"{chain.name} {pretty(phi)} n={n}: {direct} != {coded}",
             )
-    return report
 
 
-@_timed
-def suite_lemma_clos(trials: int = 50, seed: int = 11, bound: int = 2) -> SuiteReport:
+def suite_lemma_clos(trials: int = 50, seed: int = 11, bound: int = 2) -> Cases:
     """Open formulas and their universal closures get the same bounded
     verdict."""
-    report = SuiteReport("lemma-clos")
     rng = random.Random(seed)
     chains = [make_chain("boolean"), make_chain("lukasiewicz", 2), make_chain("godel", 3)]
     produced = 0
@@ -206,61 +212,50 @@ def suite_lemma_clos(trials: int = 50, seed: int = 11, bound: int = 2) -> SuiteR
         chain = rng.choice(chains)
         open_v = taut_upto_grounded(chain, phi, bound)
         closed_v = taut_upto_grounded(chain, universal_closure(phi), bound)
-        report.case(
-            _verdict_key(open_v) == _verdict_key(closed_v),
-            f"{chain.name} {pretty(phi)}: open {open_v.describe()} "
-            f"!= closed {closed_v.describe()}",
-        )
-    return report
+        yield _agree(chain, phi, open_v, closed_v)
 
 
 def _wnm_suite_chains() -> list[Chain]:
     return [make_chain("nm", 4), make_chain("nm", 5)] + custom_wnm_chains()
 
 
-@_timed
-def suite_lemma_gc(max_n: int = 2) -> SuiteReport:
+def suite_lemma_gc(max_n: int = 2) -> Cases:
     """Squared formulas cannot tell a model from its restriction to the
     idempotent part, and their value lands in A+ u {0}."""
-    report = SuiteReport("lemma-gc")
     for chain in _wnm_suite_chains():
-        profile = negation_profile(chain)
-        allowed = {chain.carrier[i] for i in profile.a_plus} | {chain.bottom}
+        frag = godel_fragment(chain)
+        allowed = frag.to_fragment  # A+ u {0}
         for phi in corpus.fixed_corpus():
             closed = universal_closure(phi)
             starred = wnm_star(closed)
             for model in _all_models(closed, chain, max_n):
                 a = eval_fo(chain, model, {}, starred)
-                b = eval_fo(chain, model_plus(chain, model), {}, starred)
-                report.case(
+                b = eval_fo(chain, frag.model_plus(model), {}, starred)
+                yield (
                     a == b and a in allowed,
                     f"{chain.name} {pretty(phi)}: {a} vs {b} (allowed: {a in allowed})",
                 )
-    return report
 
 
-@_timed
-def suite_lemma_gc1(max_n: int = 2) -> SuiteReport:
+def suite_lemma_gc1(max_n: int = 2) -> Cases:
     """The restricted value agrees with both the squared and the plain
     formula over the extracted Goedel fragment."""
-    report = SuiteReport("lemma-gc1")
     for chain in _wnm_suite_chains():
         frag = godel_fragment(chain)
         for phi in corpus.fixed_corpus():
             closed = universal_closure(phi)
             starred = wnm_star(closed)
             for model in _all_models(closed, chain, max_n):
-                restricted = eval_fo(chain, model_plus(chain, model), {}, starred)
+                restricted = eval_fo(chain, frag.model_plus(model), {}, starred)
                 m_prime = frag.translate_model(model)
                 over_frag_star = eval_fo(frag.chain, m_prime, {}, starred)
                 over_frag = eval_fo(frag.chain, m_prime, {}, closed)
-                report.case(
+                yield (
                     frag.restrict_value(restricted) == over_frag_star
                     and over_frag_star == over_frag,
                     f"{chain.name} {pretty(phi)}: {restricted} vs "
                     f"{over_frag_star} vs {over_frag}",
                 )
-    return report
 
 
 def _instrumented_values(chain, model, phi):
@@ -281,12 +276,10 @@ def _instrumented_values(chain, model, phi):
     return out
 
 
-@_timed
-def suite_lemma_pred(max_n: int = 2) -> SuiteReport:
+def suite_lemma_pred(max_n: int = 2) -> Cases:
     """Definedness guard: positivity is valuation-uniform, and a
     positive guard rules out the negation fixpoint among all subformula
     values."""
-    report = SuiteReport("lemma-pred")
     chains = [make_chain("lukasiewicz", 2), make_chain("lukasiewicz", 3)]
     for chain in chains:
         profile = negation_profile(chain)
@@ -300,26 +293,23 @@ def suite_lemma_pred(max_n: int = 2) -> SuiteReport:
                 ):
                     v = {"u1": values[0], "u2": values[1]}
                     vals.add(eval_fo(chain, model, v, guard))
-                report.case(
+                yield (
                     len(vals) == 1,
                     f"{chain.name} {pretty(phi)}: guard not valuation-uniform",
                 )
                 positive = next(iter(vals)) > 0
                 if positive and fix is not None:
                     sub_vals = _instrumented_values(chain, model, phi)
-                    report.case(
+                    yield (
                         fix not in sub_vals,
                         f"{chain.name} {pretty(phi)}: fixpoint {fix} appears "
                         "as a subformula value despite a positive guard",
                     )
-    return report
 
 
-@_timed
-def suite_lemma_luk1(max_n: int = 2) -> SuiteReport:
+def suite_lemma_luk1(max_n: int = 2) -> Cases:
     """With a positive definedness guard, a classical formula lands in
     A+ exactly when it is true in the collapsed Boolean model."""
-    report = SuiteReport("lemma-luk1")
     two = make_chain("boolean")
     for chain in [make_chain("lukasiewicz", 2), make_chain("lukasiewicz", 3)]:
         profile = negation_profile(chain)
@@ -333,107 +323,66 @@ def suite_lemma_luk1(max_n: int = 2) -> SuiteReport:
                 val = eval_fo(chain, model, {}, closed)
                 collapsed = boolean_collapse(chain, model)
                 bool_val = eval_fo(two, collapsed, {}, closed)
-                report.case(
+                yield (
                     (val in plus) == (bool_val == 1),
                     f"{chain.name} {pretty(phi)}: {val} in A+ is "
                     f"{val in plus} but collapse gives {bool_val}",
                 )
-    return report
 
 
-@_timed
-def suite_lemma_luk(bound: int = 3) -> SuiteReport:
+def suite_lemma_luk(bound: int = 3) -> Cases:
     """Guarded translation: classical tautology over the Boolean chain
     iff the translation is a tautology over the MV-chain, at each
     bound, with matching refutation sizes."""
-    report = SuiteReport("lemma-luk")
     two = make_chain("boolean")
     for chain in [make_chain("lukasiewicz", 2), make_chain("lukasiewicz", 3)]:
         for phi in corpus.classical_corpus():
             mv = taut_upto_grounded(chain, luk_star(phi), bound)
-            boolean = taut_upto_grounded(two, phi, bound)
-            report.case(
-                _verdict_key(mv) == _verdict_key(boolean),
-                f"{chain.name} {pretty(phi)}: {mv.describe()} vs "
-                f"boolean {boolean.describe()}",
-            )
-    return report
+            yield _agree(chain, phi, mv, taut_upto_grounded(two, phi, bound))
 
 
-def _reduction_suite(name, translate, chain, reference, bound, formulas):
-    report = SuiteReport(name)
-    for phi in formulas:
+def _reduction_suite(translate, chain, reference, bound) -> Cases:
+    """Cases: each corpus formula's translation over chain gets the
+    verdict the formula gets over reference."""
+    for phi in corpus.fixed_corpus():
         translated = taut_upto_grounded(chain, translate(phi), bound)
-        ref = taut_upto_grounded(reference, phi, bound)
-        report.case(
-            _verdict_key(translated) == _verdict_key(ref),
-            f"{pretty(phi)}: translated {translated.describe()} vs "
-            f"reference {ref.describe()}",
-        )
-    return report
+        yield _agree(chain, phi, translated, taut_upto_grounded(reference, phi, bound))
 
 
-@_timed
-def suite_thm41_smtl(bound: int = 3) -> SuiteReport:
+def suite_thm41_smtl(bound: int = 3) -> Cases:
     """Double negation over a chain with strict negation reduces to the
     Boolean verdicts."""
-    return _reduction_suite(
-        "thm41-smtl",
-        double_neg,
-        make_chain("godel", 4),
-        make_chain("boolean"),
-        bound,
-        corpus.fixed_corpus(),
+    yield from _reduction_suite(
+        double_neg, make_chain("godel", 4), make_chain("boolean"), bound
     )
 
 
-@_timed
-def suite_thm41_bl(bound: int = 3) -> SuiteReport:
+def suite_thm41_bl(bound: int = 3) -> Cases:
     """Double negation over an ordinal sum reduces to its first
     (MV-chain) component."""
     from .chains import ordinal_sum
 
     luk2 = make_chain("lukasiewicz", 2)
     sum_chain = ordinal_sum(luk2, make_chain("godel", 2))
-    return _reduction_suite(
-        "thm41-bl",
-        double_neg,
-        sum_chain,
-        luk2,
-        bound,
-        corpus.fixed_corpus(),
-    )
+    yield from _reduction_suite(double_neg, sum_chain, luk2, bound)
 
 
-@_timed
-def suite_thm415_delta(bound: int = 3) -> SuiteReport:
+def suite_thm415_delta(bound: int = 3) -> Cases:
     """Guarding every atom with delta reduces any chain's verdicts to
     the Boolean-with-delta ones."""
-    report = SuiteReport("thm415-delta")
     two_delta = delta_expand(make_chain("boolean"))
-    targets = [
+    for chain in [
         delta_expand(make_chain("lukasiewicz", 2)),
         delta_expand(make_chain("lukasiewicz", 3)),
         delta_expand(make_chain("godel", 4)),
-    ]
-    for chain in targets:
-        for phi in corpus.fixed_corpus():
-            translated = taut_upto_grounded(chain, delta_guard(phi), bound)
-            ref = taut_upto_grounded(two_delta, phi, bound)
-            report.case(
-                _verdict_key(translated) == _verdict_key(ref),
-                f"{chain.name} {pretty(phi)}: {translated.describe()} vs "
-                f"{ref.describe()}",
-            )
-    return report
+    ]:
+        yield from _reduction_suite(delta_guard, chain, two_delta, bound)
 
 
-@_timed
-def suite_formula_f() -> SuiteReport:
+def suite_formula_f() -> Cases:
     """The delta fixpoint criterion: !(p <-> ~p) -> p holds on a
     delta-expanded chain exactly when the chain has no negation
     fixpoint."""
-    report = SuiteReport("formula-f")
     for chain in [
         make_chain("lukasiewicz", 2),
         make_chain("lukasiewicz", 3),
@@ -443,19 +392,16 @@ def suite_formula_f() -> SuiteReport:
         expanded = delta_expand(chain)
         holds = satisfies_identity(expanded, "f")
         fixpoint_free = negation_profile(chain).fixpoint is None
-        report.case(
+        yield (
             holds == fixpoint_free,
             f"{chain.name}: formula (f) holds={holds}, "
             f"fixpoint-free={fixpoint_free}",
         )
-    return report
 
 
-@_timed
-def suite_fo_axioms(max_n: int = 2, max_chain_size: int = 5) -> SuiteReport:
+def suite_fo_axioms(max_n: int = 2, max_chain_size: int = 5) -> Cases:
     """The five quantifier axiom schemata evaluate to 1 over every
     enumerated model of every shipped small chain."""
-    report = SuiteReport("fo-axioms")
     chains = [c for c in shipped_chains(max_chain_size) if c.size <= max_chain_size]
     for chain in chains:
         for name, instances in corpus.fo_axiom_instances().items():
@@ -463,36 +409,30 @@ def suite_fo_axioms(max_n: int = 2, max_chain_size: int = 5) -> SuiteReport:
                 closed = universal_closure(phi)
                 for model in _all_models(closed, chain, max_n):
                     val = eval_fo(chain, model, {}, closed)
-                    report.case(
+                    yield (
                         val == chain.top,
                         f"{chain.name} {name} {pretty(phi)}: value {val}",
                     )
-    return report
 
 
-@_timed
-def suite_divisibility() -> SuiteReport:
+def suite_divisibility() -> Cases:
     """Subchains of the 7-element Lukasiewicz chain have exactly the
     sizes k+1 for k dividing 6."""
-    report = SuiteReport("divisibility")
     luk6 = make_chain("lukasiewicz", 6)
     sizes = sorted({len(s) for s in subchains(luk6)})
-    report.case(sizes == [2, 3, 4, 7], f"subchain sizes {sizes} != [2, 3, 4, 7]")
+    yield sizes == [2, 3, 4, 7], f"subchain sizes {sizes} != [2, 3, 4, 7]"
     for n in (2, 3, 4):
         sizes = sorted({len(s) for s in subchains(make_chain("lukasiewicz", n))})
         expected = sorted({k + 1 for k in range(1, n + 1) if n % k == 0})
-        report.case(
+        yield (
             sizes == expected,
             f"lukasiewicz({n}) subchain sizes {sizes} != {expected}",
         )
-    return report
 
 
-@_timed
-def suite_oracle_agreement() -> SuiteReport:
+def suite_oracle_agreement() -> Cases:
     """The grounded and the direct bounded tautology checkers agree on
     verdict and refutation bound."""
-    report = SuiteReport("oracle-agreement")
     plan = [
         (make_chain("boolean"), 3),
         (make_chain("lukasiewicz", 2), 3),
@@ -503,59 +443,53 @@ def suite_oracle_agreement() -> SuiteReport:
     for chain, bound in plan:
         for phi in corpus.fixed_corpus():
             grounded = taut_upto_grounded(chain, phi, bound)
-            direct = taut_upto_direct(chain, phi, bound)
-            report.case(
-                _verdict_key(grounded) == _verdict_key(direct),
-                f"{chain.name} {pretty(phi)}: grounded {grounded.describe()} "
-                f"vs direct {direct.describe()}",
-            )
-    return report
+            yield _agree(chain, phi, grounded, taut_upto_direct(chain, phi, bound))
 
 
-@_timed
-def suite_thm413_demo(bound: int = 3) -> SuiteReport:
+def suite_thm413_demo(bound: int = 3) -> Cases:
     """A propositional separation lifts to a first-order one: the
     lifted formula stays a bounded tautology over the separating chain
     while the other chain yields a verifying singleton countermodel."""
     from .formulas import parse
 
-    report = SuiteReport("thm413-demo")
     phi = parse(r"(x & x) <-> (x & x & x)", kind="prop")
     luk2 = make_chain("lukasiewicz", 2)
     luk3 = make_chain("lukasiewicz", 3)
     ok2, _ = is_taut_prop(luk2, phi)
     ok3, witness = is_taut_prop(luk3, phi)
-    report.case(ok2, "x^2 <-> x^3 should be a tautology over lukasiewicz(2)")
-    report.case(not ok3, "x^2 <-> x^3 should fail over lukasiewicz(3)")
+    yield ok2, "x^2 <-> x^3 should be a tautology over lukasiewicz(2)"
+    yield not ok3, "x^2 <-> x^3 should fail over lukasiewicz(3)"
     psi = lift_prop(phi)
     verdict = taut_upto_direct(luk2, psi, bound)
-    report.case(
+    yield (
         verdict.is_taut,
         f"lifted formula not taut up to {bound} over lukasiewicz(2)",
     )
     cert = find_countermodel(luk3, psi, 1)
-    report.case(cert is not None, "no countermodel found over lukasiewicz(3)")
+    yield cert is not None, "no countermodel found over lukasiewicz(3)"
     if cert is not None:
-        report.case(cert.model.domain_size == 1, "countermodel is not a singleton")
-        report.case(verify_certificate(cert, luk3), "certificate failed to verify")
-    return report
+        yield cert.model.domain_size == 1, "countermodel is not a singleton"
+        yield verify_certificate(cert, luk3), "certificate failed to verify"
 
 
 SUITES = {
-    "residuation": suite_residuation,
-    "lemma-tr": suite_lemma_tr,
-    "lemma-clos": suite_lemma_clos,
-    "lemma-gc": suite_lemma_gc,
-    "lemma-gc1": suite_lemma_gc1,
-    "lemma-pred": suite_lemma_pred,
-    "lemma-luk1": suite_lemma_luk1,
-    "lemma-luk": suite_lemma_luk,
-    "thm41-smtl": suite_thm41_smtl,
-    "thm41-bl": suite_thm41_bl,
-    "thm415-delta": suite_thm415_delta,
-    "formula-f": suite_formula_f,
-    "fo-axioms": suite_fo_axioms,
-    "divisibility": suite_divisibility,
-    "oracle-agreement": suite_oracle_agreement,
-    "thm413-demo": suite_thm413_demo,
+    name: _suite(name, cases)
+    for name, cases in {
+        "residuation": suite_residuation,
+        "lemma-tr": suite_lemma_tr,
+        "lemma-clos": suite_lemma_clos,
+        "lemma-gc": suite_lemma_gc,
+        "lemma-gc1": suite_lemma_gc1,
+        "lemma-pred": suite_lemma_pred,
+        "lemma-luk1": suite_lemma_luk1,
+        "lemma-luk": suite_lemma_luk,
+        "thm41-smtl": suite_thm41_smtl,
+        "thm41-bl": suite_thm41_bl,
+        "thm415-delta": suite_thm415_delta,
+        "formula-f": suite_formula_f,
+        "fo-axioms": suite_fo_axioms,
+        "divisibility": suite_divisibility,
+        "oracle-agreement": suite_oracle_agreement,
+        "thm413-demo": suite_thm413_demo,
+    }.items()
 }

@@ -227,6 +227,20 @@ class TestBadInputExits2:
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["parse", "--formula-file", "{flat}"],
+        ["ground", "--size", "1500", "--formula", "forall x. P(x)"],
+    ], ids=["flat-chain", "deep-grounding"])
+    def test_deep_tree_subprocess(self, tmp_path, argv):
+        # A flat chain that the parser reads in a loop, and a grounding
+        # whose conjunction is as deep as the domain is large.
+        flat = tmp_path / "flat.txt"
+        flat.write_text(" & ".join(["P"] * 3000) + "\n")
+        result = run_mvlogic([arg.format(flat=flat) for arg in argv])
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+
 
 def main_argv(argv):
     """Invoke main() with a patched argv."""

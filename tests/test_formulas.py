@@ -64,6 +64,18 @@ class TestParse:
         with pytest.raises(ParseError):
             parse(nest(5000))
 
+    @pytest.mark.parametrize("wrap", ["{}", "~({})", "forall x. ({})", "({}) -> P(x)"])
+    def test_height_limit(self, wrap):
+        def chain(terms):
+            return wrap.format(" & ".join(["P(x)"] * terms))
+
+        extra = 0 if wrap == "{}" else 1  # levels the wrapper adds
+        parse(chain(MAX_DEPTH - extra))
+        with pytest.raises(ParseError, match="deeper than"):
+            parse(chain(MAX_DEPTH - extra + 1))
+        with pytest.raises(ParseError):
+            parse(chain(5000))
+
     def test_precedence(self):
         # ~,! > & > /\ > \/ > -> > <->
         phi = parse(r"~p & q /\ r \/ s -> t", kind="prop")

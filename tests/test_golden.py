@@ -1,10 +1,13 @@
-"""Golden outputs of the three checkers and of `ground` on the fixed corpus.
+"""Golden outputs of the checkers, the suites and the model maps.
 
 `golden_corpus.json` holds, for each corpus formula at bound 2 on five
 chains, the grounded verdict and witness, the direct verdict and the
 sha256 of the `find_countermodel` certificate text, plus the
-`ground --size 2` output for five corpus formulas.  Any refactor of the
-engines must reproduce it byte for byte.  Re-record (only for a
+`ground --size 2` output for five corpus formulas.  It also holds each
+suite's case count and verdict at small parameters, and, for a WNM and
+a nilpotent-minimum chain, the `modelmap` and `fragment` texts and the
+library model maps on a model that holds a value outside the carrier.
+Any refactor must reproduce it byte for byte.  Re-record (only for a
 documented behaviour change) with:
 
     PYTHONPATH=src python tests/test_golden.py --record
@@ -15,13 +18,24 @@ import hashlib
 import io
 import json
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from mvlogic import (
+    SUITES,
+    Model,
+    MvlogicError,
+    boolean_collapse,
     certificate_to_text,
+    chain_to_text,
     find_countermodel,
+    godel_fragment,
     make_chain,
+    make_rational_chain,
     make_wnm_chain,
+    model_plus,
+    model_to_text,
     pretty,
     taut_upto_direct,
     taut_upto_grounded,
@@ -41,9 +55,117 @@ CHAINS = (
 # Indices into FIXED_CORPUS_TEXT: a unary, an open, a binary, an
 # existential and a negated formula.
 GROUND_CASES = (1, 14, 25, 38, 42)
+# Every suite but oracle-agreement, whose defaults take about 14 s and
+# which the acceptance tests run, at parameters that keep all of them
+# to a few seconds.
+SUITE_PARAMS = {
+    "residuation": {"max_size": 6},
+    "lemma-tr": {"trials": 20, "exhaustive_n": 1},
+    "lemma-clos": {"trials": 20},
+    "lemma-gc": {"max_n": 1},
+    "lemma-gc1": {"max_n": 1},
+    "lemma-pred": {"max_n": 1},
+    "lemma-luk1": {"max_n": 1},
+    "lemma-luk": {"bound": 2},
+    "thm41-smtl": {"bound": 2},
+    "thm41-bl": {"bound": 2},
+    "thm415-delta": {"bound": 2},
+    "formula-f": {},
+    "fo-axioms": {"max_n": 1, "max_chain_size": 4},
+    "divisibility": {},
+    "thm413-demo": {"bound": 2},
+}
+MAP_CHAINS = (
+    lambda: make_wnm_chain([4, 3, 1, 1, 0], "wnmA"),
+    lambda: make_chain("nm", 5),
+)
+
+
+def _outcome(fn, *args) -> str:
+    """What a call gives: its text, or its error class and message."""
+    try:
+        out = fn(*args)
+    except MvlogicError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return model_to_text(out) if isinstance(out, Model) else str(out)
+
+
+def _cli(argv) -> str:
+    """What a CLI command gives: its exit code and output, or its error."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = run(argv)
+    except MvlogicError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return f"exit {code}\n{out.getvalue()}"
+
+
+def _map_model(chain) -> Model:
+    """Cells cycling through the carrier, over a unary and a binary
+    predicate of a 3-element domain."""
+    vals = chain.carrier
+    return Model.from_dict(3, {
+        "P": {(i,): vals[i % len(vals)] for i in (1, 2, 3)},
+        "R": {(i, j): vals[(3 * i + j) % len(vals)]
+              for i in (1, 2, 3) for j in (1, 2, 3)},
+    })
+
+
+def compute_suites() -> dict:
+    out = {}
+    for name, kwargs in SUITE_PARAMS.items():
+        report = SUITES[name](**kwargs)
+        out[name] = {"cases": report.cases, "ok": report.ok}
+    return out
+
+
+def compute_maps() -> dict:
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for mk in MAP_CHAINS:
+            chain = mk()
+            model = _map_model(chain)
+            chain_file = Path(tmp, "c.chain")
+            model_file = Path(tmp, "m.model")
+            chain_file.write_text(chain_to_text(chain))
+            model_file.write_text(model_to_text(model))
+            cli = {"fragment": _cli(["fragment", "--chain", str(chain_file)])}
+            for pass_name in ("plus", "boolean-collapse"):
+                cli[f"modelmap {pass_name}"] = _cli([
+                    "modelmap", "--pass", pass_name, "--chain", str(chain_file),
+                    "--model", str(model_file)])
+            # Off the carrier: the library maps such a value, the CLI
+            # rejects the model.
+            odd = Model.from_dict(3, {
+                **model.tables, "Q": {(1,): Fraction(1, 7), (2,): chain.top, (3,): chain.bottom},
+            })
+            frag = godel_fragment(chain)
+            lib = {
+                "model_plus": _outcome(model_plus, chain, odd),
+                "boolean_collapse": _outcome(boolean_collapse, chain, odd),
+                "translate_model": _outcome(frag.translate_model, odd),
+                "restrict_value": [
+                    _outcome(frag.restrict_value, x)
+                    for x in chain.carrier + (Fraction(1, 7),)
+                ],
+            }
+            out[chain.name] = {"cli": cli, "library": lib}
+    model = _map_model(make_chain("lukasiewicz", 2))
+    for chain in (make_chain("lukasiewicz", 3), make_rational_chain("nm")):
+        out[chain.name] = {"library": {
+            "model_plus": _outcome(model_plus, chain, model),
+            "godel_fragment": _outcome(godel_fragment, chain),
+            "boolean_collapse": _outcome(boolean_collapse, chain, model),
+        }}
+    return out
 
 
 def compute_golden() -> dict:
+    return {**compute_corpus(), "suites": compute_suites(), "maps": compute_maps()}
+
+
+def compute_corpus() -> dict:
     cases = []
     for mk in CHAINS:
         chain = mk()
@@ -75,11 +197,21 @@ def compute_golden() -> dict:
 
 def test_golden_outputs_unchanged():
     expected = json.loads(GOLDEN.read_text())
-    got = compute_golden()
+    got = compute_corpus()
     assert got["ground"] == expected["ground"]
     assert len(got["cases"]) == len(expected["cases"])
     for g, e in zip(got["cases"], expected["cases"]):
         assert g == e
+
+
+def test_golden_suites_unchanged():
+    expected = json.loads(GOLDEN.read_text())["suites"]
+    assert compute_suites() == expected
+
+
+def test_golden_model_maps_unchanged():
+    expected = json.loads(GOLDEN.read_text())["maps"]
+    assert compute_maps() == expected
 
 
 if __name__ == "__main__":

@@ -244,3 +244,28 @@ class TestGcEqualities:
             d = eval_fo(frag.chain, m_prime, {}, phi)
             assert a == b and a in allowed
             assert frag.restrict_value(a) == c_ == d
+
+    @pytest.mark.parametrize("name", ["lemma-gc", "lemma-gc1"])
+    def test_suite_checks_wnm_once_per_chain(self, name, monkeypatch):
+        # The suites map every model through the fragment they build
+        # once per chain, so only godel_fragment scans for the WNM law.
+        import mvlogic.semantics as semantics
+        from mvlogic.suites import SUITES
+
+        scan = semantics.is_taut_prop
+        calls = []
+        monkeypatch.setattr(semantics, "is_taut_prop",
+                            lambda *args: calls.append(args) or scan(*args))
+        report = SUITES[name](max_n=1)
+        assert report.ok and report.cases == 2968
+        assert len(calls) == 4  # nm(4), nm(5), wnmA, wnmB
+
+    def test_fragment_maps_match_model_plus(self):
+        # A value off the carrier is zeroed, as by the one-shot model_plus.
+        chain = make_wnm_chain([5, 3, 3, 2, 0, 0])
+        frag = godel_fragment(chain)
+        m = Model.from_dict(1, {"P": {(1,): F(1, 7)}, "Q": {(1,): F(4, 5)}})
+        assert frag.model_plus(m) == model_plus(chain, m)
+        assert model_plus(chain, m).value("P", (1,)) == F(0)
+        assert frag.translate_model(m).value("P", (1,)) == F(0)
+        assert frag.translate_model(m).value("Q", (1,)) == frag.restrict_value(F(4, 5))

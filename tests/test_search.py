@@ -7,6 +7,7 @@ from mvlogic import (
     CertificateError,
     InvalidParameterError,
     Model,
+    MvlogicError,
     SignatureError,
     certificate_from_text,
     certificate_to_text,
@@ -129,6 +130,12 @@ class TestTautUptoDirect:
     def test_boolean_taut(self):
         v = taut_upto_direct(make_chain("boolean"), LEM, 3)
         assert v.is_taut
+
+    @pytest.mark.parametrize("check", [taut_upto_direct, taut_upto_grounded])
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_bound_below_1_rejected(self, check, bound):
+        with pytest.raises(MvlogicError):
+            check(make_chain("boolean"), LEM, bound)
 
 
 class TestLiftProp:
