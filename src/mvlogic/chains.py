@@ -117,6 +117,18 @@ class Chain(BaseChain):
             table.append(tuple(row))
         return tuple(table)
 
+    @cached_property
+    def _negation_profile(self) -> NegationProfile:
+        neg = [row[0] for row in self.residuum_table]
+        return NegationProfile(
+            frozenset(i for i in range(self.size) if i > neg[i]),
+            next((i for i in range(self.size) if i == neg[i]), None),
+        )
+
+    @cached_property
+    def _is_mv(self) -> bool:
+        return satisfies_identity(self, "inv")
+
     def index(self, x: Fraction) -> int:
         try:
             return self._index[x]
@@ -251,8 +263,6 @@ def make_chain(family: str, n: int = 2) -> Chain:
         return Chain(f"lukasiewicz({n})", carrier, _table_from_fn(carrier, _luk_star))
     carrier = _equally_spaced(n)
     fn = {"godel": _godel_star, "nm": _nm_star, "dp": _dp_star}[family]
-    if n == 1:
-        return Chain(f"{family}({n})", carrier, ((0,),))
     return Chain(f"{family}({n})", carrier, _table_from_fn(carrier, fn))
 
 
@@ -471,11 +481,17 @@ class NegationProfile:
 
 
 def negation_profile(chain: BaseChain) -> NegationProfile:
+    """A+ and the negation fixpoint, derived once per chain object."""
+    return require_finite(chain)._negation_profile
+
+
+def require_mv(chain: BaseChain) -> Chain:
+    """The chain, if it is a finite MV-chain; the check runs once per
+    chain object."""
     c = require_finite(chain)
-    neg = [row[0] for row in c.residuum_table]
-    plus = frozenset(i for i in range(c.size) if i > neg[i])
-    fix = next((i for i in range(c.size) if i == neg[i]), None)
-    return NegationProfile(plus, fix)
+    if not c._is_mv:
+        raise NotAnMVChainError(f"{c.name} does not satisfy ~~x -> x")
+    return c
 
 
 def subchains(chain: BaseChain) -> list[tuple[int, ...]]:
@@ -485,21 +501,19 @@ def subchains(chain: BaseChain) -> list[tuple[int, ...]]:
     k = c.size
     if k == 1:
         return [(0,)]
-    inner = range(1, k - 1)
     found = []
+    # combinations yields by size, then lexicographically.
     for subset in itertools.chain.from_iterable(
-        itertools.combinations(inner, r) for r in range(k - 1)
+        itertools.combinations(range(1, k - 1), r) for r in range(k - 1)
     ):
-        members = (0,) + subset + (k - 1,) if k > 1 else (0,)
+        members = (0,) + subset + (k - 1,)
         mset = set(members)
-        closed = all(
+        if all(
             c.star_table[i][j] in mset and c.residuum_table[i][j] in mset
             for i in members
             for j in members
-        )
-        if closed:
-            found.append(tuple(sorted(set(members))))
-    found.sort(key=lambda s: (len(s), s))
+        ):
+            found.append(members)
     return found
 
 
@@ -521,8 +535,7 @@ def ordinal_sum(first: BaseChain, second: BaseChain, name: str = "") -> Chain:
     """
     a = require_finite(first)
     b = require_finite(second)
-    if not satisfies_identity(a, "inv"):
-        raise NotAnMVChainError(f"{a.name} does not satisfy ~~x -> x")
+    require_mv(a)
     ka, kb = a.size, b.size
     k = (ka - 1) + kb
 

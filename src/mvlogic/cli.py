@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .chains import (
@@ -309,14 +308,7 @@ def run(argv: list[str] | None = None) -> int:
         phi = _formula_from_args(args)
         values = None
         if args.grid is not None:
-            values = sorted(
-                {
-                    Fraction(p, q)
-                    for q in range(1, args.grid + 1)
-                    for p in range(q + 1)
-                    if chain.contains(Fraction(p, q))
-                }
-            )
+            values = [v for v in chain.carrier if v.denominator <= args.grid]
         cert = find_countermodel(chain, phi, args.max_size, values)
         if cert is None:
             if args.grid is not None:

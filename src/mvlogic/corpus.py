@@ -24,6 +24,7 @@ from .formulas import (
     Not,
     Or,
     StrongAnd,
+    Var,
     parse,
 )
 
@@ -166,98 +167,51 @@ def fo_axiom_instances() -> dict[str, list[Formula]]:
 # Random formulas
 
 
+_PREDICATES = sorted(DEFAULT_SIGNATURE)
+_VARIABLES = ("x", "y", "z")
+# Node classes to draw from, the leaf's class first; Delta is appended
+# last when allowed.
+_FO_KINDS = (Atom, And, StrongAnd, Or, Implies, Not, Iff, Forall, Exists)
+_PROP_KINDS = (Var, And, StrongAnd, Or, Implies, Not, Iff)
+
+
 def random_formula(
-    rng: random.Random,
-    depth: int = 4,
-    signature: dict[str, int] | None = None,
-    variables: tuple[str, ...] = ("x", "y", "z"),
-    allow_delta: bool = False,
-    classical: bool = False,
+    rng: random.Random, depth: int = 4, allow_delta: bool = False
 ) -> Formula:
-    """Seeded random first-order formula over a small fixed signature.
+    """Seeded random first-order formula over the unary P, Q and the
+    binary R, with variables x, y, z.
 
     Connective choice is uniform at every step; leaves are atoms with
     uniformly chosen argument variables (or bot).  May produce free
     variables; close with universal_closure where needed.
     """
-    sig = DEFAULT_SIGNATURE if signature is None else signature
-    return _random(rng, depth, sig, variables, allow_delta, classical)
 
-
-def _random(rng, depth, sig, variables, allow_delta, classical):
-    def leaf():
-        if not classical and rng.random() < 0.1:
-            return Bottom()
-        pred = rng.choice(sorted(sig))
-        args = tuple(rng.choice(variables) for _ in range(sig[pred]))
+    def atom():
+        pred = rng.choice(_PREDICATES)
+        args = tuple(rng.choice(_VARIABLES) for _ in range(DEFAULT_SIGNATURE[pred]))
         return Atom(pred, args)
 
-    if depth <= 0:
-        return leaf()
-    if classical:
-        choices = ["atom", "and", "or", "not", "forall"]
-    else:
-        choices = [
-            "atom", "and", "strong", "or", "implies", "not", "iff",
-            "forall", "exists",
-        ]
-        if allow_delta:
-            choices.append("delta")
-    kind = rng.choice(choices)
-    sub = lambda: _random(rng, depth - 1, sig, variables, allow_delta, classical)
-    if kind == "atom":
-        return leaf()
-    if kind == "and":
-        return And(sub(), sub())
-    if kind == "strong":
-        return StrongAnd(sub(), sub())
-    if kind == "or":
-        return Or(sub(), sub())
-    if kind == "implies":
-        return Implies(sub(), sub())
-    if kind == "not":
-        return Not(sub())
-    if kind == "iff":
-        return Iff(sub(), sub())
-    if kind == "delta":
-        return Delta(sub())
-    var = rng.choice(variables)
-    return Forall(var, sub()) if kind == "forall" else Exists(var, sub())
+    return _random(rng, depth, atom, _FO_KINDS + ((Delta,) if allow_delta else ()))
 
 
 def random_propositional(
-    rng: random.Random,
-    depth: int = 4,
-    variables: tuple[str, ...] = ("p", "q", "r"),
-    allow_delta: bool = False,
+    rng: random.Random, depth: int = 4, allow_delta: bool = False
 ) -> Formula:
-    """Seeded random propositional formula."""
-    from .formulas import Var
+    """Seeded random propositional formula over p, q, r."""
+    var = lambda: Var(rng.choice(("p", "q", "r")))
+    return _random(rng, depth, var, _PROP_KINDS + ((Delta,) if allow_delta else ()))
 
-    def leaf():
-        if rng.random() < 0.1:
-            return Bottom()
-        return Var(rng.choice(variables))
 
-    if depth <= 0:
-        return leaf()
-    choices = ["var", "and", "strong", "or", "implies", "not", "iff"]
-    if allow_delta:
-        choices.append("delta")
-    kind = rng.choice(choices)
-    sub = lambda: random_propositional(rng, depth - 1, variables, allow_delta)
-    if kind == "var":
-        return leaf()
-    if kind == "and":
-        return And(sub(), sub())
-    if kind == "strong":
-        return StrongAnd(sub(), sub())
-    if kind == "or":
-        return Or(sub(), sub())
-    if kind == "implies":
-        return Implies(sub(), sub())
-    if kind == "not":
-        return Not(sub())
-    if kind == "iff":
-        return Iff(sub(), sub())
-    return Delta(sub())
+def _random(rng, depth, leaf, kinds):
+    """The one generator body: each node's class is drawn uniformly
+    from kinds while depth lasts; a leaf is bot with probability 0.1
+    and leaf() otherwise."""
+    kind = rng.choice(kinds) if depth > 0 else kinds[0]
+    sub = lambda: _random(rng, depth - 1, leaf, kinds)
+    if kind is kinds[0]:
+        return Bottom() if rng.random() < 0.1 else leaf()
+    if kind is Not or kind is Delta:
+        return kind(sub())
+    if kind is Forall or kind is Exists:
+        return kind(rng.choice(_VARIABLES), sub())
+    return kind(sub(), sub())

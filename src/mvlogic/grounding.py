@@ -11,6 +11,7 @@ domain index running 1..n.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -146,19 +147,12 @@ def witness_model(grounded: GroundedFormula, witness: dict[str, Fraction]) -> Mo
     Cells of the formula's signature that do not occur in the grounding
     default to 0 (they cannot affect the truth value).
     """
-    import itertools
-
-    sig: dict[str, int] = {}
-    for pred, args in grounded.legend.values():
-        sig[pred] = len(args)
+    sig = {pred: len(args) for pred, args in grounded.legend.values()}
     n = grounded.domain_size
-    tables: dict[str, dict[tuple[int, ...], Fraction]] = {}
-    for pred, arity in sig.items():
-        tables[pred] = {
-            args: Fraction(0)
+    return Model.from_dict(n, {
+        pred: {
+            args: witness.get(cell_variable(pred, args), Fraction(0))
             for args in itertools.product(range(1, n + 1), repeat=arity)
         }
-    for var, (pred, args) in grounded.legend.items():
-        if var in witness:
-            tables[pred][args] = witness[var]
-    return Model.from_dict(n, tables)
+        for pred, arity in sig.items()
+    })

@@ -13,15 +13,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chains import (
+    ONE,
     ZERO,
     BaseChain,
     Chain,
     _equally_spaced,
     negation_profile,
     require_finite,
+    require_mv,
     satisfies_identity,
 )
-from .errors import NotAnMVChainError, TranslationError
+from .errors import TranslationError
 from .formulas import (
     And,
     Atom,
@@ -40,6 +42,7 @@ from .formulas import (
     is_classical,
     map_leaves,
     signature_of,
+    universal_closure,
 )
 from .semantics import Model
 
@@ -135,16 +138,9 @@ def godel_fragment(chain: BaseChain) -> GodelFragment:
 # Predicate definedness and the MV -> Boolean collapse
 
 
-def _forall_chain(vars: tuple[str, ...], body: Formula) -> Formula:
-    for v in reversed(vars):
-        body = Forall(v, body)
-    return body
-
-
 def predef_atom(pred: str, arity: int) -> Formula:
-    args = tuple(f"x{i+1}" for i in range(arity))
-    atom = Atom(pred, args)
-    return _forall_chain(args, Not(Iff(atom, Not(atom))))
+    atom = Atom(pred, tuple(f"x{i+1}" for i in range(arity)))
+    return universal_closure(Not(Iff(atom, Not(atom))))
 
 
 def predef(phi: Formula) -> Formula:
@@ -169,21 +165,12 @@ def luk_star(phi: Formula) -> Formula:
     return Or(Not(predef(phi)), Implies(Not(phi), phi))
 
 
-def _require_mv(chain: BaseChain) -> Chain:
-    c = require_finite(chain)
-    if not satisfies_identity(c, "inv"):
-        raise NotAnMVChainError(f"{c.name} does not satisfy ~~x -> x")
-    return c
-
-
 def boolean_collapse(chain: BaseChain, model: Model) -> Model:
     """Boolean model with 1 exactly in the cells whose value lies in
     A+; the chain must be an MV-chain."""
-    c = _require_mv(chain)
+    c = require_mv(chain)
     plus_values = {c.carrier[i] for i in negation_profile(c).a_plus}
-    return _relabel(
-        model, lambda val: Fraction(1) if val in plus_values else Fraction(0)
-    )
+    return _relabel(model, lambda val: ONE if val in plus_values else ZERO)
 
 
 # ---------------------------------------------------------------------------

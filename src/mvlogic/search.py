@@ -222,7 +222,7 @@ def certificate_from_text(text: str) -> Certificate:
                 value = Fraction(line.split()[1])
             else:
                 raise FormatError(f"unexpected line {line!r}")
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, ZeroDivisionError) as exc:
         raise FormatError(f"malformed certificate: {exc}") from exc
     if None in (chain_name, chain_hash, formula_text, model, value):
         raise FormatError("certificate is missing a required section")

@@ -289,9 +289,7 @@ def _product(values, slots: int, what: str):
 
 
 def count_models(sig: dict[str, int], n: int, values) -> int:
-    k = values if isinstance(values, int) else len(values)
-    cells = sum(n**arity for arity in sig.values())
-    return k**cells
+    return len(values) ** sum(n**arity for arity in sig.values())
 
 
 def enumerate_models(
@@ -356,6 +354,8 @@ def model_from_text(text: str) -> Model:
             if rows[i][0] != "pred":
                 raise FormatError(f"expected 'pred NAME ARITY', got {rows[i]}")
             name, arity = rows[i][1], int(rows[i][2])
+            if arity < 0:
+                raise FormatError(f"predicate {name} has negative arity {arity}")
             i += 1
             cells: dict[tuple[int, ...], Fraction] = {}
             for _ in range(n**arity):

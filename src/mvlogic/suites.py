@@ -22,12 +22,14 @@ from .chains import (
     make_chain,
     make_wnm_chain,
     negation_profile,
+    ordinal_sum,
     satisfies_identity,
     subchains,
 )
 from .formulas import (
     Formula,
     free_variables,
+    parse,
     pretty,
     signature_of,
     subformulas,
@@ -107,16 +109,11 @@ def custom_wnm_chains() -> list[Chain]:
     ]
 
 
-LEMMA_TR_CHAINS = (
-    ("boolean", lambda: make_chain("boolean")),
-    ("lukasiewicz(2)", lambda: make_chain("lukasiewicz", 2)),
-    ("lukasiewicz(3)", lambda: make_chain("lukasiewicz", 3)),
-    ("godel(3)", lambda: make_chain("godel", 3)),
-    ("godel(4)", lambda: make_chain("godel", 4)),
-    ("nm(4)", lambda: make_chain("nm", 4)),
-    ("nm(5)", lambda: make_chain("nm", 5)),
-    ("dp(4)", lambda: make_chain("dp", 4)),
-)
+def _lemma_tr_chains() -> list[Chain]:
+    sizes = {"lukasiewicz": (2, 3), "godel": (3, 4), "nm": (4, 5), "dp": (4,)}
+    return [make_chain("boolean")] + [
+        make_chain(family, n) for family, ns in sizes.items() for n in ns
+    ]
 
 
 def _agree(chain: Chain, phi: Formula, left, right) -> tuple[bool, str]:
@@ -164,22 +161,15 @@ def suite_lemma_tr(trials: int = 200, seed: int = 7, exhaustive_n: int = 2) -> C
     under the induced assignment: exhaustive on the fixed corpus at
     n <= exhaustive_n, plus seeded random formulas with sampled models
     at n <= 3."""
-    for name, mk in LEMMA_TR_CHAINS:
-        chain = mk()
+    chains = _lemma_tr_chains()
+    for chain in chains:
         for phi in corpus.fixed_corpus():
-            closed = universal_closure(phi)
-            sig = signature_of(closed)
+            sig = signature_of(phi)
             for n in range(1, exhaustive_n + 1):
-                g = ground(closed, n)
-                for model in enumerate_models(sig, n, chain.carrier):
-                    direct = eval_fo(chain, model, {}, closed)
-                    coded = eval_prop(chain, induced_assignment(model), g.formula)
-                    yield (
-                        direct == coded,
-                        f"{name} {pretty(phi)} n={n}: {direct} != {coded}",
-                    )
+                yield from _coding_cases(
+                    chain, phi, n, enumerate_models(sig, n, chain.carrier)
+                )
     rng = random.Random(seed)
-    chains = [mk() for _, mk in LEMMA_TR_CHAINS]
     for _ in range(trials):
         chain = rng.choice(chains)
         phi = universal_closure(
@@ -187,15 +177,19 @@ def suite_lemma_tr(trials: int = 200, seed: int = 7, exhaustive_n: int = 2) -> C
         )
         sig = signature_of(phi)
         n = rng.randint(1, 3)
-        for _ in range(3):
-            model = _random_model(rng, sig, n, chain.carrier)
-            direct = eval_fo(chain, model, {}, phi)
-            g = ground(phi, n)
-            coded = eval_prop(chain, induced_assignment(model), g.formula)
-            yield (
-                direct == coded,
-                f"{chain.name} {pretty(phi)} n={n}: {direct} != {coded}",
-            )
+        models = [_random_model(rng, sig, n, chain.carrier) for _ in range(3)]
+        yield from _coding_cases(chain, phi, n, models)
+
+
+def _coding_cases(chain: Chain, phi: Formula, n: int, models) -> Cases:
+    """Cases: on each model of size n, the universal closure of phi
+    gets the value its grounding gets under the induced assignment."""
+    closed = universal_closure(phi)
+    g = ground(closed, n)
+    for model in models:
+        direct = eval_fo(chain, model, {}, closed)
+        coded = eval_prop(chain, induced_assignment(model), g.formula)
+        yield direct == coded, f"{chain.name} {pretty(phi)} n={n}: {direct} != {coded}"
 
 
 def suite_lemma_clos(trials: int = 50, seed: int = 11, bound: int = 2) -> Cases:
@@ -360,8 +354,6 @@ def suite_thm41_smtl(bound: int = 3) -> Cases:
 def suite_thm41_bl(bound: int = 3) -> Cases:
     """Double negation over an ordinal sum reduces to its first
     (MV-chain) component."""
-    from .chains import ordinal_sum
-
     luk2 = make_chain("lukasiewicz", 2)
     sum_chain = ordinal_sum(luk2, make_chain("godel", 2))
     yield from _reduction_suite(double_neg, sum_chain, luk2, bound)
@@ -450,8 +442,6 @@ def suite_thm413_demo(bound: int = 3) -> Cases:
     """A propositional separation lifts to a first-order one: the
     lifted formula stays a bounded tautology over the separating chain
     while the other chain yields a verifying singleton countermodel."""
-    from .formulas import parse
-
     phi = parse(r"(x & x) <-> (x & x & x)", kind="prop")
     luk2 = make_chain("lukasiewicz", 2)
     luk3 = make_chain("lukasiewicz", 3)

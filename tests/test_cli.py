@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import mvlogic
 from mvlogic import chain_to_text, delta_expand, make_chain, model_to_text, Model
 from mvlogic.cli import main, run
+from mvlogic.suites import shipped_chains
 
 from fractions import Fraction as F
 
@@ -124,6 +126,35 @@ class TestSearchVerify:
                     "--formula", r"forall x. (P(x) \/ ~P(x))"]) == 0
         assert "taut-up-to-2" in capsys.readouterr().out
 
+    def test_grid_keeps_carrier_values_up_to_denominator(self, tmp_path, monkeypatch):
+        # The values p/q with q <= D that the carrier holds, in carrier
+        # order: what --grid D searches over.
+        import mvlogic.cli
+
+        seen = []
+        monkeypatch.setattr(mvlogic.cli, "find_countermodel",
+                            lambda chain, phi, size, values: seen.append(values))
+        path = tmp_path / "c.chain"
+        for chain in shipped_chains(6):
+            path.write_text(chain_to_text(chain))
+            for d in range(-1, 14):
+                assert run(["search", "--chain", str(path), "--max-size", "1",
+                            "--grid", str(d), "--formula", "P(x)"]) == 0
+                expected = sorted({F(p, q) for q in range(1, d + 1)
+                                   for p in range(q + 1) if chain.contains(F(p, q))})
+                assert seen.pop() == expected, (chain.name, d)
+
+    def test_large_grid_is_fast(self, luk2_file):
+        # In a child process, so that a grid built in O(D^2) times out
+        # rather than hangs the run.
+        t0 = time.perf_counter()
+        result = run_mvlogic(["search", "--chain", luk2_file, "--max-size", "1",
+                              "--grid", "1000000", "--formula", "forall x. P(x)"],
+                             timeout=10)
+        assert time.perf_counter() - t0 < 2
+        assert result.returncode == 1
+        assert "value 0" in result.stdout
+
     def test_verify_wrong_chain_exits_2(self, tmp_path, luk2_file, luk3_file, capsys):
         run(["search", "--chain", luk2_file, "--max-size", "2",
              "--formula", r"forall x. (P(x) \/ ~P(x))"])
@@ -199,6 +230,9 @@ class TestBadInputExits2:
             "nohash": write("n.cert", FORGED_CERT.replace("1/3", "0").format(hash="-")),
             "third": write("m.model", model_to_text(
                 Model.from_dict(1, {"P": {(1,): F(1, 3)}}))),
+            "zerodiv": write("z.cert", FORGED_CERT.replace("value 1/3", "value 1/0")
+                             .format(hash=l2.table_hash())),
+            "negarity": write("neg.model", "mtlmodel 1\ndomain 2\npred P -1\n"),
         }
 
     @pytest.mark.parametrize("argv", [
@@ -213,8 +247,10 @@ class TestBadInputExits2:
         ["eval", "--chain", "{luk2}", "--model", "{third}", "--formula", "P(x)"],
         ["modelmap", "--pass", "boolean-collapse", "--chain", "{luk2}",
          "--model", "{third}"],
+        ["verify", "--certificate", "{zerodiv}"],
+        ["eval", "--chain", "{luk2}", "--model", "{negarity}", "--formula", "P(x)"],
     ], ids=["max-size-0", "grid-0", "deep", "size-0", "label-5", "forged",
-            "no-hash", "eval", "modelmap"])
+            "no-hash", "eval", "modelmap", "value-1/0", "negative-arity"])
     def test_exit_2(self, files, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main_argv([arg.format(**files) for arg in argv])
@@ -223,6 +259,13 @@ class TestBadInputExits2:
 
     def test_deep_formula_subprocess(self):
         result = run_mvlogic(["parse", "--kind", "prop", "--formula", "~" * 5000 + "p"])
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+
+    def test_negative_arity_subprocess(self, files):
+        result = run_mvlogic(["eval", "--chain", files["luk2"], "--model",
+                              files["negarity"], "--formula", "P(x)"])
         assert result.returncode == 2
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr

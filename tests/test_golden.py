@@ -7,6 +7,9 @@ sha256 of the `find_countermodel` certificate text, plus the
 suite's case count and verdict at small parameters, and, for a WNM and
 a nilpotent-minimum chain, the `modelmap` and `fragment` texts and the
 library model maps on a model that holds a value outside the carrier.
+Under `streams` it holds the pretty text of seeded random formulas
+from both corpus generators, the subchains of three chains and the
+one-element chain files of the named families.
 Any refactor must reproduce it byte for byte.  Re-record (only for a
 documented behaviour change) with:
 
@@ -17,6 +20,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 import tempfile
 from fractions import Fraction
@@ -37,11 +41,17 @@ from mvlogic import (
     model_plus,
     model_to_text,
     pretty,
+    subchains,
     taut_upto_direct,
     taut_upto_grounded,
 )
 from mvlogic.cli import run
-from mvlogic.corpus import FIXED_CORPUS_TEXT, fixed_corpus
+from mvlogic.corpus import (
+    FIXED_CORPUS_TEXT,
+    fixed_corpus,
+    random_formula,
+    random_propositional,
+)
 
 GOLDEN = Path(__file__).with_name("golden_corpus.json")
 BOUND = 2
@@ -75,6 +85,8 @@ SUITE_PARAMS = {
     "divisibility": {},
     "thm413-demo": {"bound": 2},
 }
+STREAM_SEEDS = (0, 1, 2, 3)
+SUBCHAIN_CHAINS = (("lukasiewicz", 6), ("godel", 5), ("nm", 6))
 MAP_CHAINS = (
     lambda: make_wnm_chain([4, 3, 1, 1, 0], "wnmA"),
     lambda: make_chain("nm", 5),
@@ -161,8 +173,33 @@ def compute_maps() -> dict:
     return out
 
 
+def compute_streams() -> dict:
+    """Seeded generator output (one stream per seed, depths 0-5 twice,
+    so that a change in how much randomness a formula draws shows up in
+    the formulas after it), subchains and one-element chains."""
+    out = {}
+    for name, gen in (("random_formula", random_formula),
+                      ("random_propositional", random_propositional)):
+        for seed in STREAM_SEEDS:
+            for allow_delta in (False, True):
+                rng = random.Random(seed)
+                out[f"{name} seed={seed} delta={allow_delta}"] = [
+                    pretty(gen(rng, depth=depth, allow_delta=allow_delta))
+                    for depth in (*range(6), *range(6))
+                ]
+    for family, n in SUBCHAIN_CHAINS:
+        chain = make_chain(family, n)
+        out[f"subchains {chain.name}"] = [list(s) for s in subchains(chain)]
+    for family in ("godel", "nm", "dp"):
+        out[f"chain_to_text {family}(1)"] = chain_to_text(make_chain(family, 1))
+    return out
+
+
 def compute_golden() -> dict:
-    return {**compute_corpus(), "suites": compute_suites(), "maps": compute_maps()}
+    return {
+        **compute_corpus(), "suites": compute_suites(), "maps": compute_maps(),
+        "streams": compute_streams(),
+    }
 
 
 def compute_corpus() -> dict:
@@ -212,6 +249,11 @@ def test_golden_suites_unchanged():
 def test_golden_model_maps_unchanged():
     expected = json.loads(GOLDEN.read_text())["maps"]
     assert compute_maps() == expected
+
+
+def test_golden_streams_unchanged():
+    expected = json.loads(GOLDEN.read_text())["streams"]
+    assert compute_streams() == expected
 
 
 if __name__ == "__main__":

@@ -181,10 +181,31 @@ class TestBooleanCollapse:
         m = Model.from_dict(2, {"P": {(1,): F(0), (2,): F(1)}})
         assert boolean_collapse(L2, m) == m
 
+    def test_suite_checks_mv_once_per_chain(self, monkeypatch):
+        # boolean_collapse reads the MV check and the negation profile
+        # that each chain object derives once, so lemma-luk1 scans for
+        # ~~x -> x once per chain, not once per model.
+        import mvlogic.semantics as semantics
+        from mvlogic.suites import SUITES
+
+        scan = semantics.is_taut_prop
+        calls = []
+        monkeypatch.setattr(semantics, "is_taut_prop",
+                            lambda *args: calls.append(args) or scan(*args))
+        report = SUITES["lemma-luk1"](max_n=1)
+        assert report.ok and report.cases == 432
+        assert len(calls) == 2  # lukasiewicz(2), lukasiewicz(3)
+
     def test_non_mv_rejected(self):
+        # On every call, though the check runs once per chain, and with
+        # the message ordinal_sum gives.
+        g3 = make_chain("godel", 3)
         m = Model.from_dict(1, {"P": {(1,): F(1)}})
-        with pytest.raises(NotAnMVChainError):
-            boolean_collapse(make_chain("godel", 3), m)
+        for call in (lambda: boolean_collapse(g3, m), lambda: boolean_collapse(g3, m),
+                     lambda: ordinal_sum(g3, make_chain("boolean"))):
+            with pytest.raises(NotAnMVChainError,
+                               match=r"^godel\(3\) does not satisfy ~~x -> x$"):
+                call()
 
 
 class TestDoubleNeg:
