@@ -144,9 +144,24 @@ class Chain(BaseChain):
     def implies(self, x: Fraction, y: Fraction) -> Fraction:
         return self.carrier[self.residuum_table[self.index(x)][self.index(y)]]
 
+    @cached_property
+    def _text(self) -> str:
+        lines = [
+            "mtlchain 1",
+            f"size {self.size}",
+            "labels " + " ".join(str(v) for v in self.carrier),
+            f"delta {1 if self.has_delta else 0}",
+        ]
+        lines.extend(" ".join(str(i) for i in row) for row in self.star_table)
+        return "\n".join(lines) + "\n"
+
+    @cached_property
+    def _hash(self) -> str:
+        return hashlib.sha256(self._text.encode()).hexdigest()
+
     def table_hash(self) -> str:
         """Hash of the canonical serialization, used in certificates."""
-        return hashlib.sha256(chain_to_text(self).encode()).hexdigest()
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -567,15 +582,8 @@ def ordinal_sum(first: BaseChain, second: BaseChain, name: str = "") -> Chain:
 
 
 def chain_to_text(chain: BaseChain) -> str:
-    c = require_finite(chain)
-    lines = [
-        "mtlchain 1",
-        f"size {c.size}",
-        "labels " + " ".join(str(v) for v in c.carrier),
-        f"delta {1 if c.has_delta else 0}",
-    ]
-    lines.extend(" ".join(str(i) for i in row) for row in c.star_table)
-    return "\n".join(lines) + "\n"
+    """The chain file text, serialized once per chain object."""
+    return require_finite(chain)._text
 
 
 def chain_from_text(text: str, name: str = "loaded") -> Chain:

@@ -9,7 +9,10 @@ rare because exhaustive model scans grow as k^(n^2) in the arity.
 
 from __future__ import annotations
 
+import functools
 import random
+from types import MappingProxyType
+from typing import Mapping
 
 from .formulas import (
     And,
@@ -148,19 +151,26 @@ FO_AXIOM_INSTANCES_TEXT = {
 }
 
 
-def fixed_corpus() -> list[Formula]:
-    return [parse(t, kind="fo") for t in FIXED_CORPUS_TEXT]
+# Each corpus is parsed once per process; formulas are frozen values.
 
 
-def classical_corpus() -> list[Formula]:
-    return [parse(t, kind="fo") for t in CLASSICAL_CORPUS_TEXT]
+@functools.cache
+def fixed_corpus() -> tuple[Formula, ...]:
+    return tuple(parse(t, kind="fo") for t in FIXED_CORPUS_TEXT)
 
 
-def fo_axiom_instances() -> dict[str, list[Formula]]:
-    return {
-        name: [parse(t, kind="fo") for t in texts]
+@functools.cache
+def classical_corpus() -> tuple[Formula, ...]:
+    return tuple(parse(t, kind="fo") for t in CLASSICAL_CORPUS_TEXT)
+
+
+@functools.cache
+def fo_axiom_instances() -> Mapping[str, tuple[Formula, ...]]:
+    """Schema name -> its instances, read-only."""
+    return MappingProxyType({
+        name: tuple(parse(t, kind="fo") for t in texts)
         for name, texts in FO_AXIOM_INSTANCES_TEXT.items()
-    }
+    })
 
 
 # ---------------------------------------------------------------------------

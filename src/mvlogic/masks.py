@@ -1,0 +1,327 @@
+"""Bit-parallel evaluation of a closed formula over every model of a
+finite model space at once: the engine of the exhaustive model scans.
+
+The models of a signature over domain {1..n} whose cells take one of
+`radix` digits are ranked in the canonical order of `enumerate_models`:
+cell 0 is the most significant digit, the last cell varies fastest.  A
+formula node over a finite chain of k elements is k Python ints, its
+masks: bit r of mask v is set iff the node takes carrier index v on the
+model of rank r.  Connectives combine masks with & and |, which run in
+C, so no Fraction and no Python-level loop touches a model; Fractions
+appear only when a rank is decoded back into a Model.
+
+A scan walks the rank space in aligned chunks whose size is a power of
+the radix.  The first chunk holds about 2^10 ranks, so an early
+refutation stays cheap; later chunks grow up to about 2^22 ranks, or
+less when the masks alive at once would exceed MASK_BUDGET_BITS.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator
+
+from .chains import Chain
+from .errors import EvaluationError, UnsupportedChainError
+from .formulas import (
+    And,
+    Atom,
+    Bottom,
+    Delta,
+    Exists,
+    Forall,
+    Formula,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    StrongAnd,
+)
+from .semantics import Model, model_cells
+
+FIRST_CHUNK_BITS = 1 << 10
+MAX_CHUNK_BITS = 1 << 22
+MASK_BUDGET_BITS = 1 << 28  # about 32 MB of masks alive at once
+
+
+def ranks(mask: int) -> Iterator[int]:
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class Space:
+    """The models of sig over {1..n} whose cells take `radix` digits.
+    Raises upfront, as enumerate_models does, on an empty digit set, a
+    domain below 1 or a model count above the enumeration cap."""
+
+    def __init__(self, sig: dict[str, int], n: int, radix: int):
+        self.cells = model_cells(sig, n, radix)
+        self.preds = sorted(sig)
+        self.n = n
+        self.radix = radix
+        self.size = radix ** len(self.cells)
+        self.position = {cell: i for i, cell in enumerate(self.cells)}
+        self._patterns: dict = {}
+
+    def model(self, rank: int, values) -> Model:
+        """The model of the given rank, digit d read as values[d]."""
+        digits = []
+        for _ in self.cells:
+            rank, d = divmod(rank, self.radix)
+            digits.append(d)
+        tables = {pred: {} for pred in self.preds}
+        for (pred, args), d in zip(self.cells, reversed(digits)):
+            tables[pred][args] = values[d]
+        return Model(self.n, tables)
+
+    def chunks(self, *programs: "Program") -> Iterator["Chunk"]:
+        """Aligned chunks covering the ranks in order; a chunk grows by
+        the radix once the ranks scanned so far are a multiple of it."""
+        radix = self.radix
+        live = sum(p.live_bits for p in programs) or 1
+        limit = min(MAX_CHUNK_BITS, max(1, MASK_BUDGET_BITS // live))
+        size = 1
+        while radix > 1 and size * radix <= min(FIRST_CHUNK_BITS, limit, self.size):
+            size *= radix
+        start = 0
+        while start < self.size:
+            yield Chunk(self, start, size)
+            start += size
+            if start % (size * radix) == 0 and size * radix <= limit:
+                size *= radix
+
+    def digit_patterns(self, place: int, size: int) -> list[int]:
+        """Over an aligned chunk of `size` ranks, the mask of each digit
+        of the cell whose place value is `place` < size."""
+        key = (place, size)
+        if key not in self._patterns:
+            full = (1 << size) - 1
+            x, length = (1 << place) - 1, place * self.radix
+            while length < size:
+                x |= x << length
+                length *= 2
+            x &= full
+            self._patterns[key] = [(x << (d * place)) & full for d in range(self.radix)]
+        return self._patterns[key]
+
+
+class Chunk:
+    """The ranks start .. start + size - 1 of a space."""
+
+    def __init__(self, space: Space, start: int, size: int):
+        self.space = space
+        self.start = start
+        self.size = size
+        self.full = (1 << size) - 1
+
+    def cell(self, i: int, leaf: tuple[int, ...], k: int) -> list[int]:
+        """Masks of cell i, its digit d read as target index leaf[d]."""
+        space = self.space
+        place = space.radix ** (len(space.cells) - 1 - i)
+        out = [0] * k
+        if place >= self.size:  # the digit is constant over the chunk
+            out[leaf[self.start // place % space.radix]] = self.full
+        else:
+            for d, pattern in enumerate(space.digit_patterns(place, self.size)):
+                out[leaf[d]] |= pattern
+        return out
+
+
+class Program:
+    """A closed formula over a finite chain, instantiated at the
+    space's domain size as a straight-line list of mask operations.
+    Cells are read through `leaf`: digit d is carrier index leaf[d].
+
+    Each (subformula, valuation of its free variables) becomes one
+    instruction, and equal instructions are shared.  Registers are
+    dropped after their last use; `live_bits` bounds the mask bits per
+    rank alive at once.
+    """
+
+    def __init__(self, chain: Chain, phi: Formula, space: Space, leaf: tuple[int, ...]):
+        self.k = chain.size
+        self.leaf = leaf
+        self.code: list[tuple] = []
+        made: dict[tuple, int] = {}
+        seen: dict[tuple, int] = {}
+        free = _free_variables(phi)
+
+        def emit(node, env):
+            key = (id(node), tuple(map(env.get, free[id(node)])))
+            if key in seen:
+                return seen[key]
+            t = type(node)
+            if t in _BINARY:
+                ins = (_BINARY[t], emit(node.left, env), emit(node.right, env))
+            elif t is Atom:
+                try:
+                    args = tuple(env[x] for x in node.args)
+                except KeyError as exc:
+                    raise EvaluationError(f"unbound free variable {exc.args[0]}")
+                ins = ("cell", space.position[(node.pred, args)])
+            elif t is Bottom:
+                ins = ("bottom",)
+            elif t is Not:
+                ins = ("neg", emit(node.sub, env))
+            elif t is Delta:
+                ins = ("delta", emit(node.sub, env))
+                if not chain.has_delta:
+                    raise UnsupportedChainError(f"chain {chain.name} has no delta operation")
+            elif t is Forall or t is Exists:
+                op = "min" if t is Forall else "max"
+                ins = (op,) + tuple(
+                    emit(node.body, {**env, node.var: e}) for e in range(1, space.n + 1)
+                )
+            else:
+                raise EvaluationError(f"cannot evaluate node {node!r}")
+            reg = made.get(ins)
+            if reg is None:
+                reg = made[ins] = len(self.code)
+                self.code.append(ins)
+                if ins[0] != "cell":
+                    for a in ins[1:]:
+                        last[a] = reg
+            seen[key] = reg
+            return reg
+
+        last: dict[int, int] = {}  # register -> index of its last reader
+        self.result = emit(phi, {})
+        last[self.result] = len(self.code)
+        self.drops = [[] for _ in self.code]
+        for reg, i in last.items():
+            if i < len(self.code):
+                self.drops[i].append(reg)
+        live = peak = 0
+        for drops in self.drops:
+            live += 1
+            peak = max(peak, live)
+            live -= len(drops)
+        self.live_bits = peak * self.k
+        # The carrier-index tables of the unary and binary operations.
+        k, res = self.k, chain.residuum_table
+        self.tables = {
+            "neg": tuple(row[0] for row in res),
+            "delta": (0,) * (k - 1) + (k - 1,),
+            "star": chain.star_table,
+            "res": res,
+        }
+        if any(ins[0] == "iff" for ins in self.code):
+            self.tables["iff"] = tuple(
+                tuple(min(res[a][b], res[b][a]) for b in range(k)) for a in range(k)
+            )
+
+    def run(self, chunk: Chunk) -> list[int]:
+        """The formula's masks over the chunk."""
+        k, full = self.k, chunk.full
+        regs: list = [None] * len(self.code)
+        for i, (op, *args) in enumerate(self.code):
+            if op == "cell":
+                out = chunk.cell(args[0], self.leaf, k)
+            elif op == "min" or op == "max":
+                out = _fold([regs[a] for a in args], op == "min", k, full)
+            elif op == "bottom":
+                out = [0] * k
+                out[0] = full
+            elif len(args) == 1:  # neg, delta: index v becomes table[v]
+                out = [0] * k
+                table = self.tables[op]
+                for v, mask in enumerate(regs[args[0]]):
+                    out[table[v]] |= mask
+            else:
+                out = _pairs(self.tables[op], regs[args[0]], regs[args[1]], k)
+            regs[i] = out
+            for reg in self.drops[i]:
+                regs[reg] = None
+        return regs[self.result]
+
+
+_BINARY = {StrongAnd: "star", Implies: "res", Iff: "iff", And: "min", Or: "max"}
+
+
+def _pairs(table, a: list[int], b: list[int], k: int) -> list[int]:
+    """table applied rank by rank: index table[i][j] wherever a takes i
+    and b takes j."""
+    out = [0] * k
+    bs = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            row = table[i]
+            for j, y in bs:
+                out[row[j]] |= x & y
+    return out
+
+
+def _fold(args: list[list[int]], meet: bool, k: int, full: int) -> list[int]:
+    """Rank-wise min (meet) or max of the args, through their up-set
+    masks: min(a, b) >= v iff a >= v and b >= v."""
+    acc = None
+    for masks in args:
+        up, run = [0] * k, 0
+        for v in range(k - 1, 0, -1):
+            run |= masks[v]
+            up[v] = run
+        if acc is None:
+            acc = up
+        elif meet:
+            acc = [x & y for x, y in zip(acc, up)]
+        else:
+            acc = [x | y for x, y in zip(acc, up)]
+    out, above = [0] * k, 0
+    for v in range(k - 1, 0, -1):
+        out[v] = acc[v] ^ above
+        above = acc[v]
+    out[0] = full ^ above
+    return out
+
+
+def _free_variables(phi: Formula) -> dict[int, tuple[str, ...]]:
+    """Free individual variables of every node, keyed by id(node)."""
+    out: dict[int, tuple[str, ...]] = {}
+
+    def walk(node) -> frozenset:
+        t = type(node)
+        if t is Atom:
+            free = frozenset(node.args)
+        elif t is Forall or t is Exists:
+            free = walk(node.body) - {node.var}
+        elif hasattr(node, "sub"):
+            free = walk(node.sub)
+        elif hasattr(node, "left"):
+            free = walk(node.left) | walk(node.right)
+        else:
+            free = frozenset()
+        out[id(node)] = tuple(sorted(free))
+        return free
+
+    walk(phi)
+    return out
+
+
+def first_failure(
+    chain: Chain, phi: Formula, sig: dict[str, int], n: int, values: tuple, skip: int = 0
+) -> tuple[Model, int] | None:
+    """The canonically first model of sig over {1..n}, cells drawn from
+    values, on which the closed phi is not 1, with the carrier index of
+    its value; None if there is none.  The first `skip` ranks are not
+    scanned."""
+    space = Space(sig, n, len(values))
+    if space.size <= skip:
+        return None
+    if values is chain.carrier:
+        leaf = tuple(range(chain.size))
+    else:
+        leaf = tuple(map(chain.index, values))
+    program = Program(chain, phi, space, leaf)
+    top = chain.size - 1
+    for chunk in space.chunks(program):
+        masks = program.run(chunk)
+        bad = chunk.full ^ masks[top]
+        if chunk.start < skip:
+            bad &= -1 << (skip - chunk.start)
+        if bad:
+            low = next(ranks(bad))
+            value = next(v for v, mask in enumerate(masks) if mask >> low & 1)
+            return space.model(chunk.start + low, values), value
+    return None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .chains import (
     ONE,
@@ -18,6 +19,7 @@ from .chains import (
     BaseChain,
     Chain,
     _equally_spaced,
+    make_chain,
     negation_profile,
     require_finite,
     require_mv,
@@ -86,6 +88,12 @@ def _relabel(model: Model, fn) -> Model:
     )
 
 
+def _leaf(source: Chain, target: Chain, fn) -> tuple[int, ...]:
+    """The value map fn as a leaf map of the mask engine: source
+    carrier index i -> target carrier index of fn(carrier[i])."""
+    return tuple(target.index(fn(x)) for x in source.carrier)
+
+
 @dataclass(frozen=True)
 class GodelFragment:
     """The Goedel chain carried by A+ together with 0, plus the order
@@ -96,9 +104,15 @@ class GodelFragment:
     source: Chain
     to_fragment: dict[Fraction, Fraction]  # source value in A+ or 0 -> fragment value
 
+    def _plus(self, val: Fraction) -> Fraction:
+        return val if val in self.to_fragment else ZERO
+
+    def _restricted(self, val: Fraction) -> Fraction:
+        return self.to_fragment.get(val, ZERO)
+
     def model_plus(self, model: Model) -> Model:
         """The model with every value outside A+ zeroed."""
-        return _relabel(model, lambda val: val if val in self.to_fragment else ZERO)
+        return _relabel(model, self._plus)
 
     def restrict_value(self, x: Fraction) -> Fraction:
         """Source value in A+ or 0 -> fragment value."""
@@ -110,7 +124,17 @@ class GodelFragment:
 
     def translate_model(self, model: Model) -> Model:
         """The restricted model read through the embedding inverse."""
-        return _relabel(model, lambda val: self.to_fragment.get(val, ZERO))
+        return _relabel(model, self._restricted)
+
+    @cached_property
+    def plus_leaf(self) -> tuple[int, ...]:
+        """model_plus as a leaf map of the mask engine."""
+        return _leaf(self.source, self.source, self._plus)
+
+    @cached_property
+    def fragment_leaf(self) -> tuple[int, ...]:
+        """translate_model as a leaf map of the mask engine."""
+        return _leaf(self.source, self.chain, self._restricted)
 
 
 def model_plus(chain: BaseChain, model: Model) -> Model:
@@ -165,12 +189,24 @@ def luk_star(phi: Formula) -> Formula:
     return Or(Not(predef(phi)), Implies(Not(phi), phi))
 
 
+def _collapse(chain: BaseChain):
+    """The collapse of one value: 1 in A+, 0 elsewhere; the chain must
+    be an MV-chain."""
+    c = require_mv(chain)
+    plus_values = {c.carrier[i] for i in negation_profile(c).a_plus}
+    return lambda val: ONE if val in plus_values else ZERO
+
+
 def boolean_collapse(chain: BaseChain, model: Model) -> Model:
     """Boolean model with 1 exactly in the cells whose value lies in
     A+; the chain must be an MV-chain."""
-    c = require_mv(chain)
-    plus_values = {c.carrier[i] for i in negation_profile(c).a_plus}
-    return _relabel(model, lambda val: ONE if val in plus_values else ZERO)
+    return _relabel(model, _collapse(chain))
+
+
+def collapse_leaf(chain: BaseChain) -> tuple[int, ...]:
+    """boolean_collapse as a leaf map of the mask engine onto the
+    Boolean chain."""
+    return _leaf(chain, make_chain("boolean"), _collapse(chain))
 
 
 # ---------------------------------------------------------------------------

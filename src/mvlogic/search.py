@@ -10,6 +10,7 @@ below 1.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -30,6 +31,8 @@ from .formulas import (
 )
 from .grounding import Verdict
 from .semantics import Model, enumerate_models, eval_fo, model_from_text, model_to_text
+
+PROBE = 64  # models per domain size checked by eval_fo before the masks
 
 
 @dataclass(frozen=True)
@@ -52,16 +55,38 @@ def _first_countermodel(
 ) -> tuple[Model, Fraction] | None:
     """The direct scan: the canonically first model over domains
     1..max_size with values from `values` on which the closed formula
-    is not 1, with its value."""
+    is not 1, with its value.
+
+    A rational family is scanned model by model.  On a finite chain
+    only the first PROBE models of each domain size are; the mask
+    engine scans the rest, and eval_fo re-checks the witness it finds.
+    Building the masks costs several evaluations, so a refutation among
+    the first models stays as cheap as a model-by-model scan."""
+    # Imported by the first scan, not with the package, so that commands
+    # that scan no models do not load (or, without cached bytecode,
+    # compile) the engine.
+    from . import masks
+
     if max_size < 1:
         raise InvalidParameterError(f"max_size must be >= 1, got {max_size}")
     sig = signature_of(closed)
-    top = chain.top
+    finite = isinstance(chain, Chain)
     for n in range(1, max_size + 1):
-        for model in enumerate_models(sig, n, values):
+        models = enumerate_models(sig, n, values)
+        for model in itertools.islice(models, PROBE) if finite else models:
             val = eval_fo(chain, model, {}, closed)
-            if val != top:
+            if val != chain.top:
                 return model, val
+        found = masks.first_failure(chain, closed, sig, n, values, PROBE) if finite else None
+        if found is not None:
+            model, index = found
+            val = eval_fo(chain, model, {}, closed)
+            if val != chain.carrier[index]:
+                raise AssertionError(
+                    f"mask value {chain.carrier[index]} differs from eval_fo "
+                    f"value {val} on {pretty(closed)}"
+                )
+            return model, val
     return None
 
 
@@ -81,10 +106,11 @@ def find_countermodel(
     """
     if values is None:
         values = require_finite(chain).carrier
-    values = tuple(values)
-    for v in values:
-        if not chain.contains(v):
-            raise InvalidParameterError(f"grid value {v} is not in the carrier")
+    else:
+        values = tuple(values)
+        for v in values:
+            if not chain.contains(v):
+                raise InvalidParameterError(f"grid value {v} is not in the carrier")
     closed = universal_closure(phi)
     found = _first_countermodel(chain, closed, max_size, values)
     if found is None:

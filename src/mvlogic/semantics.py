@@ -266,7 +266,8 @@ def is_taut_prop(
     names = sorted(prop_variables(phi))
     fn = compile_prop(c, phi, {name: i for i, name in enumerate(names)})
     top = c.size - 1
-    for indices in _product(range(c.size), len(names), "assignments"):
+    _check_cap(c.size ** len(names), "assignments")
+    for indices in itertools.product(range(c.size), repeat=len(names)):
         if fn(indices) != top:
             witness = {name: c.carrier[i] for name, i in zip(names, indices)}
             return False, witness
@@ -277,15 +278,31 @@ def is_taut_prop(
 # Model enumeration
 
 
-def _product(values, slots: int, what: str):
-    """itertools.product(values, repeat=slots), the one exhaustive scan
-    of assignments and models; raises CapExceededError upfront if its
-    size exceeds the cap (MVLOGIC_ENUM_CAP, default 20e6)."""
+def _check_cap(total: int, what: str) -> None:
+    """The one cap check of the exhaustive scans of assignments and
+    models: raises CapExceededError upfront if a scan of `total` points
+    exceeds the cap (MVLOGIC_ENUM_CAP, default 20e6)."""
     cap = enumeration_cap()
-    total = len(values) ** slots
     if total > cap:
         raise CapExceededError(f"{total} {what} exceed the enumeration cap {cap}")
-    return itertools.product(values, repeat=slots)
+
+
+def model_cells(sig: dict[str, int], n: int, radix: int) -> list[tuple[str, tuple[int, ...]]]:
+    """The cells of a model of sig over {1..n} in canonical order:
+    predicates sorted by name, argument tuples in lexicographic order.
+    Raises upfront on an empty value set, a domain below 1 or more than
+    the cap's count of models with `radix` values per cell."""
+    if radix < 1:
+        raise InvalidParameterError("value set must be nonempty")
+    if n < 1:
+        raise InvalidParameterError("domain size must be >= 1")
+    cells = [
+        (pred, args)
+        for pred in sorted(sig)
+        for args in itertools.product(range(1, n + 1), repeat=sig[pred])
+    ]
+    _check_cap(radix ** len(cells), "models")
+    return cells
 
 
 def count_models(sig: dict[str, int], n: int, values) -> int:
@@ -304,17 +321,9 @@ def enumerate_models(
     (MVLOGIC_ENUM_CAP, default 20e6).
     """
     values = tuple(values)
-    if not values:
-        raise InvalidParameterError("value set must be nonempty")
-    if n < 1:
-        raise InvalidParameterError("domain size must be >= 1")
+    cells = model_cells(sig, n, len(values))
     preds = sorted(sig)
-    cells = [
-        (pred, args)
-        for pred in preds
-        for args in itertools.product(range(1, n + 1), repeat=sig[pred])
-    ]
-    for choice in _product(values, len(cells), "models"):
+    for choice in itertools.product(values, repeat=len(cells)):
         tables: dict[str, dict[tuple[int, ...], Fraction]] = {p: {} for p in preds}
         for (pred, args), val in zip(cells, choice):
             tables[pred][args] = val

@@ -12,7 +12,8 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from operator import or_
+from typing import Callable, Iterator, NamedTuple
 
 from . import corpus
 from .chains import (
@@ -38,6 +39,7 @@ from .formulas import (
 from .grounding import ground, induced_assignment, taut_upto_grounded
 from .reductions import (
     boolean_collapse,
+    collapse_leaf,
     delta_guard,
     double_neg,
     godel_fragment,
@@ -48,7 +50,16 @@ from .reductions import (
 from .search import find_countermodel, lift_prop, taut_upto_direct, verify_certificate
 from .semantics import Model, enumerate_models, eval_fo, eval_prop, is_taut_prop
 
-Cases = Iterator[tuple[bool, str]]  # what a suite yields: (passed, failure message)
+
+class Batch(NamedTuple):
+    """Many cases at once: their count and the failure messages."""
+
+    cases: int
+    failures: list[str]
+
+
+# What a suite yields: (passed, failure message) cases and batches.
+Cases = Iterator[tuple[bool, str] | Batch]
 
 
 @dataclass
@@ -73,15 +84,19 @@ class SuiteReport:
 
 
 def _suite(name: str, cases: Callable[..., Cases]) -> Callable[..., SuiteReport]:
-    """A SUITES entry: runs the generator of (ok, message) cases that a
-    suite_* function returns and reports on it."""
+    """A SUITES entry: runs the generator of (ok, message) cases and
+    batches that a suite_* function returns and reports on it."""
 
     @functools.wraps(cases)
     def run(*args, **kwargs) -> SuiteReport:
         report = SuiteReport(name)
         t0 = time.perf_counter()
-        for ok, message in cases(*args, **kwargs):
-            report.case(ok, message)
+        for item in cases(*args, **kwargs):
+            if isinstance(item, Batch):
+                report.cases += item.cases
+                report.failures.extend(item.failures)
+            else:
+                report.case(*item)
         report.seconds = time.perf_counter() - t0
         return report
 
@@ -125,10 +140,43 @@ def _agree(chain: Chain, phi: Formula, left, right) -> tuple[bool, str]:
     )
 
 
-def _all_models(phi: Formula, chain: Chain, max_n: int):
-    sig = signature_of(phi)
+def _union(masks) -> int:
+    return functools.reduce(or_, masks, 0)
+
+
+def _same(a: list[int], b: list[int]) -> int:
+    """Ranks where masks a and b take the same index."""
+    return _union(x & y for x, y in zip(a, b))
+
+
+def _model_scan(chain: Chain, closed: Formula, max_n: int, terms, judge, case) -> Cases:
+    """Batches of cases, one per model of the closed formula's signature
+    over {1..n}, n <= max_n, with values from chain's carrier.
+
+    Each term (term chain, formula, leaf map or None for the identity)
+    is evaluated by the mask engine; judge(full, *term masks) gives the
+    ranks that are cases and the ranks that pass.  Only a failing rank
+    is decoded to a Model, and case(model) gives its (ok, message) with
+    eval_fo, which must agree that it fails."""
+    from . import masks  # imported by the first scan, as in search
+
+    sig = signature_of(closed)
+    identity = tuple(range(chain.size))
     for n in range(1, max_n + 1):
-        yield from enumerate_models(sig, n, chain.carrier)
+        space = masks.Space(sig, n, chain.size)
+        programs = [
+            masks.Program(c, phi, space, identity if leaf is None else leaf)
+            for c, phi, leaf in terms
+        ]
+        for chunk in space.chunks(*programs):
+            active, good = judge(chunk.full, *(p.run(chunk) for p in programs))
+            failures = []
+            for rank in masks.ranks(active & ~good):
+                ok, message = case(space.model(chunk.start + rank, chain.carrier))
+                if ok:
+                    raise AssertionError(f"masks and eval_fo disagree: {message}")
+                failures.append(message)
+            yield Batch(active.bit_count(), failures)
 
 
 def _random_model(rng: random.Random, sig, n: int, carrier) -> Model:
@@ -219,16 +267,25 @@ def suite_lemma_gc(max_n: int = 2) -> Cases:
     for chain in _wnm_suite_chains():
         frag = godel_fragment(chain)
         allowed = frag.to_fragment  # A+ u {0}
+        inside = frag.embedding  # their carrier indices
+
+        def judge(full, a, b):
+            return full, _same(a, b) & _union(a[i] for i in inside)
+
         for phi in corpus.fixed_corpus():
             closed = universal_closure(phi)
             starred = wnm_star(closed)
-            for model in _all_models(closed, chain, max_n):
+
+            def case(model):
                 a = eval_fo(chain, model, {}, starred)
                 b = eval_fo(chain, frag.model_plus(model), {}, starred)
-                yield (
+                return (
                     a == b and a in allowed,
                     f"{chain.name} {pretty(phi)}: {a} vs {b} (allowed: {a in allowed})",
                 )
+
+            terms = [(chain, starred, None), (chain, starred, frag.plus_leaf)]
+            yield from _model_scan(chain, closed, max_n, terms, judge, case)
 
 
 def suite_lemma_gc1(max_n: int = 2) -> Cases:
@@ -236,20 +293,36 @@ def suite_lemma_gc1(max_n: int = 2) -> Cases:
     formula over the extracted Goedel fragment."""
     for chain in _wnm_suite_chains():
         frag = godel_fragment(chain)
+
+        def judge(full, restricted, over_frag_star, over_frag):
+            # restrict_value maps source index frag.embedding[j] to j.
+            restricts = _union(
+                restricted[i] & over_frag_star[j] for j, i in enumerate(frag.embedding)
+            )
+            return full, restricts & _same(over_frag_star, over_frag)
+
         for phi in corpus.fixed_corpus():
             closed = universal_closure(phi)
             starred = wnm_star(closed)
-            for model in _all_models(closed, chain, max_n):
+
+            def case(model):
                 restricted = eval_fo(chain, frag.model_plus(model), {}, starred)
                 m_prime = frag.translate_model(model)
                 over_frag_star = eval_fo(frag.chain, m_prime, {}, starred)
                 over_frag = eval_fo(frag.chain, m_prime, {}, closed)
-                yield (
+                return (
                     frag.restrict_value(restricted) == over_frag_star
                     and over_frag_star == over_frag,
                     f"{chain.name} {pretty(phi)}: {restricted} vs "
                     f"{over_frag_star} vs {over_frag}",
                 )
+
+            terms = [
+                (chain, starred, frag.plus_leaf),
+                (frag.chain, starred, frag.fragment_leaf),
+                (frag.chain, closed, frag.fragment_leaf),
+            ]
+            yield from _model_scan(chain, closed, max_n, terms, judge, case)
 
 
 def _instrumented_values(chain, model, phi):
@@ -280,7 +353,11 @@ def suite_lemma_pred(max_n: int = 2) -> Cases:
         fix = None if profile.fixpoint is None else chain.carrier[profile.fixpoint]
         for phi in corpus.classical_corpus():
             guard = predef(phi)
-            for model in _all_models(phi, chain, max_n):
+            sig = signature_of(phi)
+            models = (
+                m for n in range(1, max_n + 1) for m in enumerate_models(sig, n, chain.carrier)
+            )
+            for model in models:
                 vals = set()
                 for values in itertools.product(
                     range(1, model.domain_size + 1), repeat=2
@@ -308,20 +385,27 @@ def suite_lemma_luk1(max_n: int = 2) -> Cases:
     for chain in [make_chain("lukasiewicz", 2), make_chain("lukasiewicz", 3)]:
         profile = negation_profile(chain)
         plus = {chain.carrier[i] for i in profile.a_plus}
+        collapse = collapse_leaf(chain)
+
+        def judge(full, guard, val, bool_val):
+            # A model whose guard is 0 (carrier index 0) is not a case.
+            in_plus = _union(val[i] for i in profile.a_plus)
+            return full ^ guard[0], full ^ in_plus ^ bool_val[1]
+
         for phi in corpus.classical_corpus():
             closed = universal_closure(phi)
-            guard = predef(phi)
-            for model in _all_models(closed, chain, max_n):
-                if eval_fo(chain, model, {}, guard) == 0:
-                    continue
+
+            def case(model):
                 val = eval_fo(chain, model, {}, closed)
-                collapsed = boolean_collapse(chain, model)
-                bool_val = eval_fo(two, collapsed, {}, closed)
-                yield (
+                bool_val = eval_fo(two, boolean_collapse(chain, model), {}, closed)
+                return (
                     (val in plus) == (bool_val == 1),
                     f"{chain.name} {pretty(phi)}: {val} in A+ is "
                     f"{val in plus} but collapse gives {bool_val}",
                 )
+
+            terms = [(chain, predef(phi), None), (chain, closed, None), (two, closed, collapse)]
+            yield from _model_scan(chain, closed, max_n, terms, judge, case)
 
 
 def suite_lemma_luk(bound: int = 3) -> Cases:
@@ -396,15 +480,24 @@ def suite_fo_axioms(max_n: int = 2, max_chain_size: int = 5) -> Cases:
     enumerated model of every shipped small chain."""
     chains = [c for c in shipped_chains(max_chain_size) if c.size <= max_chain_size]
     for chain in chains:
+        top = chain.size - 1
+
+        def judge(full, val):
+            return full, val[top]
+
         for name, instances in corpus.fo_axiom_instances().items():
             for phi in instances:
                 closed = universal_closure(phi)
-                for model in _all_models(closed, chain, max_n):
+
+                def case(model):
                     val = eval_fo(chain, model, {}, closed)
-                    yield (
+                    return (
                         val == chain.top,
                         f"{chain.name} {name} {pretty(phi)}: value {val}",
                     )
+
+                terms = [(chain, closed, None)]
+                yield from _model_scan(chain, closed, max_n, terms, judge, case)
 
 
 def suite_divisibility() -> Cases:

@@ -43,8 +43,11 @@ def test_criterion_3_oracle_agreement():
 
 
 def test_criterion_4_wnm_squaring_equalities():
+    reports = [SUITES["lemma-gc"](), SUITES["lemma-gc1"]()]
     _report(4, "WNM squaring: M = M+ = Goedel fragment, value in A+ u {0}",
-            [SUITES["lemma-gc"](), SUITES["lemma-gc1"]()])
+            reports, budget=60)
+    # One case per model: 4 chains, 50 formulas, n <= 2.
+    assert [r.cases for r in reports] == [91_768, 91_768]
 
 
 def test_criterion_5_predef_collapse_lukstar():
@@ -74,8 +77,9 @@ def test_criterion_9_divisibility():
 
 
 def test_criterion_10_fo_axiom_soundness():
-    _report(10, "quantifier axiom instances evaluate to 1 everywhere",
-            [SUITES["fo-axioms"]()])
+    report = SUITES["fo-axioms"]()
+    _report(10, "quantifier axiom instances evaluate to 1 everywhere", [report])
+    assert report.cases == 189_638  # one case per model
 
 
 if __name__ == "__main__":

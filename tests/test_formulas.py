@@ -193,3 +193,21 @@ class TestIsClassical:
 
     def test_implies_is_not(self):
         assert not is_classical(parse("P(x) -> Q(x)"))
+
+
+class TestCorpusParsedOnce:
+    def test_fixed_corpus_parses_once_per_process(self, monkeypatch):
+        import mvlogic.corpus as corpus
+
+        calls = []
+
+        def counting(text, kind="fo"):
+            calls.append(text)
+            return parse(text, kind=kind)
+
+        monkeypatch.setattr(corpus, "parse", counting)
+        corpus.fixed_corpus.cache_clear()
+        first = corpus.fixed_corpus()
+        assert corpus.fixed_corpus() is first
+        assert len(calls) == len(corpus.FIXED_CORPUS_TEXT) == 50
+        assert isinstance(first, tuple)

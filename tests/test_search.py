@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from mvlogic import (
+    CapExceededError,
     CertificateError,
     InvalidParameterError,
     Model,
@@ -136,6 +137,51 @@ class TestTautUptoDirect:
     def test_bound_below_1_rejected(self, check, bound):
         with pytest.raises(MvlogicError):
             check(make_chain("boolean"), LEM, bound)
+
+
+class TestDirectCap:
+    """The direct checker checks MVLOGIC_ENUM_CAP once per domain size,
+    before it scans that size: lukasiewicz(2) has 3, 9 and 27 models
+    of a unary predicate at n = 1, 2, 3."""
+
+    TAUT = parse("forall x. (P(x) -> P(x))")
+    REFUTED_AT_1 = parse("forall x. P(x)")
+    REFUTED_AT_2 = parse("(exists x. P(x)) -> (forall x. P(x))")
+
+    @staticmethod
+    def _search(phi, bound):
+        return find_countermodel(L2, phi, bound)
+
+    @staticmethod
+    def _direct(phi, bound):
+        return taut_upto_direct(L2, phi, bound)
+
+    @pytest.mark.parametrize("check", ["_search", "_direct"])
+    def test_raises_before_a_size_over_the_cap(self, monkeypatch, check):
+        monkeypatch.setenv("MVLOGIC_ENUM_CAP", "9")
+        run = getattr(self, check)
+        run(self.TAUT, 2)
+        with pytest.raises(CapExceededError, match="27 models exceed the enumeration cap 9"):
+            run(self.TAUT, 3)
+        # The first countermodel lies at n = 2, but n = 2 is over a cap
+        # of 3, so the scan stops before it.
+        monkeypatch.setenv("MVLOGIC_ENUM_CAP", "3")
+        with pytest.raises(CapExceededError, match="9 models exceed the enumeration cap 3"):
+            run(self.REFUTED_AT_2, 2)
+
+    def test_witness_below_the_cap_is_returned(self, monkeypatch):
+        monkeypatch.setenv("MVLOGIC_ENUM_CAP", "3")
+        cert = find_countermodel(L2, self.REFUTED_AT_1, 5)
+        assert cert.model.domain_size == 1
+        assert verify_certificate(cert)
+        assert taut_upto_direct(L2, self.REFUTED_AT_1, 5).refuted_at == 1
+
+    def test_grid_counts_its_own_values(self, monkeypatch):
+        # Two grid values: 2, 4 and 8 models at n = 1, 2, 3.
+        monkeypatch.setenv("MVLOGIC_ENUM_CAP", "4")
+        assert find_countermodel(L2, self.TAUT, 2, (F(0), F(1))) is None
+        with pytest.raises(CapExceededError, match="8 models exceed the enumeration cap 4"):
+            find_countermodel(L2, self.TAUT, 3, (F(0), F(1)))
 
 
 class TestLiftProp:
