@@ -9,7 +9,6 @@ operations on rationals in [0,1] and support evaluation only.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -118,6 +117,14 @@ class Chain(BaseChain):
         return tuple(table)
 
     @cached_property
+    def operation_tables(self) -> dict[str, tuple]:
+        """Carrier-index tables of neg, delta, star, res and iff."""
+        k, res = self.size, self.residuum_table
+        neg, delta = tuple(row[0] for row in res), (0,) * (k - 1) + (k - 1,)
+        iff = tuple(tuple(min(res[a][b], res[b][a]) for b in range(k)) for a in range(k))
+        return {"neg": neg, "delta": delta, "star": self.star_table, "res": res, "iff": iff}
+
+    @cached_property
     def _negation_profile(self) -> NegationProfile:
         neg = [row[0] for row in self.residuum_table]
         return NegationProfile(
@@ -157,6 +164,8 @@ class Chain(BaseChain):
 
     @cached_property
     def _hash(self) -> str:
+        import hashlib  # on first use: it maps OpenSSL, some MB of memory
+
         return hashlib.sha256(self._text.encode()).hexdigest()
 
     def table_hash(self) -> str:

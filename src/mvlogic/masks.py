@@ -1,5 +1,6 @@
 """Bit-parallel evaluation of a closed formula over every model of a
-finite model space at once: the engine of the exhaustive model scans.
+finite model space at once: the engine of the exhaustive scans of
+models and of propositional assignments.
 
 The models of a signature over domain {1..n} whose cells take one of
 `radix` digits are ranked in the canonical order of `enumerate_models`:
@@ -8,7 +9,9 @@ formula node over a finite chain of k elements is k Python ints, its
 masks: bit r of mask v is set iff the node takes carrier index v on the
 model of rank r.  Connectives combine masks with & and |, which run in
 C, so no Fraction and no Python-level loop touches a model; Fractions
-appear only when a rank is decoded back into a Model.
+appear only when a rank is decoded back into a Model.  A propositional
+formula is evaluated the same way over a space whose cells are its
+variables: a Var reads its cell as an Atom does.
 
 A scan walks the rank space in aligned chunks whose size is a power of
 the radix.  The first chunk holds about 2^10 ranks, so an early
@@ -35,6 +38,7 @@ from .formulas import (
     Not,
     Or,
     StrongAnd,
+    Var,
 )
 from .semantics import Model, model_cells
 
@@ -57,22 +61,39 @@ class Space:
     domain below 1 or a model count above the enumeration cap."""
 
     def __init__(self, sig: dict[str, int], n: int, radix: int):
-        self.cells = model_cells(sig, n, radix)
+        self._index(model_cells(sig, n, radix), n, radix)
         self.preds = sorted(sig)
+
+    @classmethod
+    def of_variables(cls, names: list[str], radix: int) -> "Space":
+        """The assignments of `radix` digits to the variables `names`,
+        read by Var leaves; the caller checks the cap."""
+        space = cls.__new__(cls)
+        space._index(names, 1, radix)
+        space.preds = None
+        return space
+
+    def _index(self, cells: list, n: int, radix: int) -> None:
+        self.cells = cells
         self.n = n
         self.radix = radix
-        self.size = radix ** len(self.cells)
-        self.position = {cell: i for i, cell in enumerate(self.cells)}
+        self.size = radix ** len(cells)
+        self.position = {cell: i for i, cell in enumerate(cells)}
         self._patterns: dict = {}
+
+    def digits(self, rank: int) -> list[int]:
+        """The digits of the given rank, cell 0 first."""
+        out = []
+        for _ in self.cells:
+            rank, d = divmod(rank, self.radix)
+            out.append(d)
+        out.reverse()
+        return out
 
     def model(self, rank: int, values) -> Model:
         """The model of the given rank, digit d read as values[d]."""
-        digits = []
-        for _ in self.cells:
-            rank, d = divmod(rank, self.radix)
-            digits.append(d)
         tables = {pred: {} for pred in self.preds}
-        for (pred, args), d in zip(self.cells, reversed(digits)):
+        for (pred, args), d in zip(self.cells, self.digits(rank)):
             tables[pred][args] = values[d]
         return Model(self.n, tables)
 
@@ -135,27 +156,34 @@ class Program:
     Cells are read through `leaf`: digit d is carrier index leaf[d].
 
     Each (subformula, valuation of its free variables) becomes one
-    instruction, and equal instructions are shared.  Registers are
-    dropped after their last use; `live_bits` bounds the mask bits per
-    rank alive at once.
+    instruction, and equal instructions are shared.  At domain size 1
+    every valuation is all-1, so the subformula alone is the key.
+    Registers are dropped after their last use; `live_bits` bounds the
+    mask bits per rank alive at once.
     """
 
     def __init__(self, chain: Chain, phi: Formula, space: Space, leaf: tuple[int, ...]):
         self.k = chain.size
         self.leaf = leaf
-        self.code: list[tuple] = []
+        self.tables = chain.operation_tables
+        self.code = code = []
         made: dict[tuple, int] = {}
-        seen: dict[tuple, int] = {}
-        free = _free_variables(phi)
+        seen: dict = {}
+        free = None if space.n == 1 else _free_variables(phi)
+        propositional = space.preds is None
 
         def emit(node, env):
-            key = (id(node), tuple(map(env.get, free[id(node)])))
-            if key in seen:
-                return seen[key]
+            key = id(node) if free is None else (id(node), tuple(map(env.get, free[id(node)])))
+            reg = seen.get(key)
+            if reg is not None:
+                return reg
             t = type(node)
-            if t in _BINARY:
-                ins = (_BINARY[t], emit(node.left, env), emit(node.right, env))
-            elif t is Atom:
+            op = _BINARY.get(t)
+            if op is not None:
+                ins = (op, emit(node.left, env), emit(node.right, env))
+            elif t is Var and propositional:
+                ins = ("cell", space.position[node.name])
+            elif t is Atom and not propositional:
                 try:
                     args = tuple(env[x] for x in node.args)
                 except KeyError as exc:
@@ -169,7 +197,7 @@ class Program:
                 ins = ("delta", emit(node.sub, env))
                 if not chain.has_delta:
                     raise UnsupportedChainError(f"chain {chain.name} has no delta operation")
-            elif t is Forall or t is Exists:
+            elif (t is Forall or t is Exists) and not propositional:
                 op = "min" if t is Forall else "max"
                 ins = (op,) + tuple(
                     emit(node.body, {**env, node.var: e}) for e in range(1, space.n + 1)
@@ -178,8 +206,8 @@ class Program:
                 raise EvaluationError(f"cannot evaluate node {node!r}")
             reg = made.get(ins)
             if reg is None:
-                reg = made[ins] = len(self.code)
-                self.code.append(ins)
+                reg = made[ins] = len(code)
+                code.append(ins)
                 if ins[0] != "cell":
                     for a in ins[1:]:
                         last[a] = reg
@@ -188,10 +216,9 @@ class Program:
 
         last: dict[int, int] = {}  # register -> index of its last reader
         self.result = emit(phi, {})
-        last[self.result] = len(self.code)
-        self.drops = [[] for _ in self.code]
+        self.drops = [[] for _ in code]
         for reg, i in last.items():
-            if i < len(self.code):
+            if reg != self.result:
                 self.drops[i].append(reg)
         live = peak = 0
         for drops in self.drops:
@@ -199,18 +226,6 @@ class Program:
             peak = max(peak, live)
             live -= len(drops)
         self.live_bits = peak * self.k
-        # The carrier-index tables of the unary and binary operations.
-        k, res = self.k, chain.residuum_table
-        self.tables = {
-            "neg": tuple(row[0] for row in res),
-            "delta": (0,) * (k - 1) + (k - 1,),
-            "star": chain.star_table,
-            "res": res,
-        }
-        if any(ins[0] == "iff" for ins in self.code):
-            self.tables["iff"] = tuple(
-                tuple(min(res[a][b], res[b][a]) for b in range(k)) for a in range(k)
-            )
 
     def run(self, chunk: Chunk) -> list[int]:
         """The formula's masks over the chunk."""
@@ -313,8 +328,14 @@ def first_failure(
         leaf = tuple(range(chain.size))
     else:
         leaf = tuple(map(chain.index, values))
-    program = Program(chain, phi, space, leaf)
-    top = chain.size - 1
+    found = first_rank(space, Program(chain, phi, space, leaf), skip)
+    return found and (space.model(found[0], values), found[1])
+
+
+def first_rank(space: Space, program: Program, skip: int = 0) -> tuple[int, int] | None:
+    """The first rank from `skip` on at which the program's value is not
+    the top index, with that value; None if there is none."""
+    top = program.k - 1
     for chunk in space.chunks(program):
         masks = program.run(chunk)
         bad = chunk.full ^ masks[top]
@@ -323,5 +344,5 @@ def first_failure(
         if bad:
             low = next(ranks(bad))
             value = next(v for v, mask in enumerate(masks) if mask >> low & 1)
-            return space.model(chunk.start + low, values), value
+            return chunk.start + low, value
     return None

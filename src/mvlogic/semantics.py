@@ -22,7 +22,6 @@ from .errors import (
     FormatError,
     InvalidParameterError,
     SignatureError,
-    UnsupportedChainError,
 )
 from .formulas import (
     And,
@@ -212,66 +211,27 @@ def _eval(chain, assignment, model, v, phi):
 # Propositional tautology check
 
 
-def compile_prop(chain, phi: Formula, var_pos: dict[str, int]):
-    """Compile a propositional formula into a closure over a tuple of
-    carrier indices.  The exhaustive scans below stay in the index
-    domain, avoiding rational arithmetic in the inner loop."""
-    star = chain.star_table
-    res = chain.residuum_table
-    top = chain.size - 1
-    t = type(phi)
-    if t is Var:
-        i = var_pos[phi.name]
-        return lambda a: a[i]
-    if t is Bottom:
-        return lambda a: 0
-    if t is Delta:
-        if not chain.has_delta:
-            raise UnsupportedChainError(f"chain {chain.name} has no delta operation")
-        f = compile_prop(chain, phi.sub, var_pos)
-        return lambda a: top if f(a) == top else 0
-    if t is Not:
-        f = compile_prop(chain, phi.sub, var_pos)
-        return lambda a: res[f(a)][0]
-    left = compile_prop(chain, phi.left, var_pos)
-    right = compile_prop(chain, phi.right, var_pos)
-    if t is Implies:
-        return lambda a: res[left(a)][right(a)]
-    if t is StrongAnd:
-        return lambda a: star[left(a)][right(a)]
-    if t is And:
-        return lambda a: min(left(a), right(a))
-    if t is Or:
-        return lambda a: max(left(a), right(a))
-    if t is Iff:
-        def iff(a):
-            x, y = left(a), right(a)
-            return min(res[x][y], res[y][x])
-
-        return iff
-    raise EvaluationError(f"not a propositional node: {phi!r}")
-
-
 def is_taut_prop(
     chain: BaseChain, phi: Formula
 ) -> tuple[bool, dict[str, Fraction] | None]:
-    """Exhaustive tautology check over a finite chain.
+    """Exhaustive tautology check over a finite chain, on the mask
+    engine.
 
     Returns (True, None) or (False, witness) where the witness is the
     lexicographically first failing assignment (variables sorted by
     name, values in carrier order).  Raises CapExceededError upfront if
     the assignment count exceeds the enumeration cap.
     """
+    from . import masks  # masks builds on this module's Model
+
     c = require_finite(chain)
-    names = sorted(prop_variables(phi))
-    fn = compile_prop(c, phi, {name: i for i, name in enumerate(names)})
-    top = c.size - 1
-    _check_cap(c.size ** len(names), "assignments")
-    for indices in itertools.product(range(c.size), repeat=len(names)):
-        if fn(indices) != top:
-            witness = {name: c.carrier[i] for name, i in zip(names, indices)}
-            return False, witness
-    return True, None
+    space = masks.Space.of_variables(sorted(prop_variables(phi)), c.size)
+    program = masks.Program(c, phi, space, tuple(range(c.size)))
+    _check_cap(space.size, "assignments")
+    found = masks.first_rank(space, program)
+    if found is None:
+        return True, None
+    return False, {name: c.carrier[d] for name, d in zip(space.cells, space.digits(found[0]))}
 
 
 # ---------------------------------------------------------------------------

@@ -115,14 +115,14 @@ class TestPrettyRoundTrip:
             assert parse(pretty(phi)) == phi
 
     @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=150, deadline=None)
+    @settings(derandomize=True, max_examples=150, deadline=None)
     def test_random_fo(self, seed):
         rng = random.Random(seed)
         phi = random_formula(rng, depth=rng.randint(0, 5), allow_delta=True)
         assert parse(pretty(phi)) == phi
 
     @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=150, deadline=None)
+    @settings(derandomize=True, max_examples=150, deadline=None)
     def test_random_prop(self, seed):
         rng = random.Random(seed)
         phi = random_propositional(rng, depth=rng.randint(0, 5), allow_delta=True)

@@ -5,8 +5,9 @@ model that the rank decodes to, and that model is the one
 enumerate_models yields at that position.  The engine's first failing
 rank equals the first failing model of an enumerate_models + eval_fo
 scan, the model-by-model loop that the engine replaced, kept here as
-the oracle.  Chunk sizes are shrunk in some examples so that one small
-space spans many chunks.
+the oracle; is_taut_prop's verdict and witness equal those of an
+itertools.product + eval_prop scan over the assignments.  Chunk sizes
+are shrunk in some examples so that one small space spans many chunks.
 """
 
 import contextlib
@@ -26,7 +27,9 @@ from mvlogic import (
     delta_expand,
     enumerate_models,
     eval_fo,
+    eval_prop,
     find_countermodel,
+    is_taut_prop,
     make_chain,
     make_wnm_chain,
     parse,
@@ -47,12 +50,16 @@ from mvlogic.formulas import (
     Not,
     Or,
     StrongAnd,
+    Var,
+    prop_variables,
 )
 from mvlogic.suites import Batch, _model_scan
 
 # Predicate names with "_", digits and "'", of arities 0, 1 and 2.
 PREDICATES = {"B0": 0, "P": 1, "q_1": 1, "R2'": 2}
 VARIABLES = ("x", "y")
+# Propositional variables with "_" and digits, as grounding names cells.
+PROP_VARIABLES = ("p", "q_1", "r2", "p_P__1_2")
 MAX_MODELS = 700  # keeps each example's oracle scan to a few milliseconds
 
 
@@ -91,18 +98,27 @@ atoms = st.sampled_from(sorted(PREDICATES)).flatmap(
 )
 
 
-def _extend(sub):
-    var = st.sampled_from(VARIABLES)
-    return st.one_of(
+def _connectives(sub):
+    return [
         st.builds(Not, sub),
         st.builds(Delta, sub),
         *(st.builds(kind, sub, sub) for kind in (And, StrongAnd, Implies, Or, Iff)),
-        st.builds(Forall, var, sub),
-        st.builds(Exists, var, sub),
+    ]
+
+
+def _extend(sub):
+    var = st.sampled_from(VARIABLES)
+    return st.one_of(
+        *_connectives(sub), st.builds(Forall, var, sub), st.builds(Exists, var, sub)
     )
 
 
 formulas = st.recursive(st.one_of(st.just(Bottom()), atoms), _extend, max_leaves=6)
+prop_formulas = st.recursive(
+    st.one_of(st.just(Bottom()), st.sampled_from(PROP_VARIABLES).map(Var)),
+    lambda sub: st.one_of(*_connectives(sub)),
+    max_leaves=8,
+)
 # Default chunks, or chunks of 4 to 64 ranks.
 chunk_bits = st.sampled_from([None, (4, 64)])
 
@@ -198,6 +214,25 @@ def test_first_failure_is_the_first_failing_model(chain, phi, n, bits, data):
         model, index = found
         assert model == models[rank]
         assert chain.carrier[index] == value
+
+
+@PROPERTY
+@given(chain=chains, phi=prop_formulas)
+def test_is_taut_prop_is_the_first_failing_assignment(chain, phi):
+    names = sorted(prop_variables(phi))
+    assignments = (
+        dict(zip(names, values))
+        for values in itertools.product(chain.carrier, repeat=len(names))
+    )
+    try:
+        witness = next(
+            (a for a in assignments if eval_prop(chain, a, phi) != chain.top), None
+        )
+    except MvlogicError as exc:  # delta on a chain without delta
+        _same_error(exc, lambda: is_taut_prop(chain, phi))
+        return
+    with _small_chunks((4, 64)):
+        assert is_taut_prop(chain, phi) == (witness is None, witness)
 
 
 @pytest.mark.parametrize("text", ["bot", "bot -> bot", "forall x. (bot -> bot)", "!bot"])

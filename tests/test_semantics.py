@@ -185,6 +185,12 @@ class TestIsTaut:
         with pytest.raises(UnsupportedChainError):
             is_taut_prop(make_rational_chain("godel"), parse("p", kind="prop"))
 
+    def test_first_order_formula_rejected(self):
+        # An MvlogicError, not a traceback, for atoms and quantifiers.
+        for text in ("P", "forall x. P(x)", "forall x. bot"):
+            with pytest.raises(EvaluationError, match="cannot evaluate node"):
+                is_taut_prop(L2, parse(text))
+
 
 class TestEnumerateModels:
     def test_counts(self):
@@ -212,8 +218,16 @@ class TestEnumerateModels:
         monkeypatch.setenv("MVLOGIC_ENUM_CAP", "256")
         assert is_taut_prop(make_chain("boolean"), phi)[0] is False
         monkeypatch.setenv("MVLOGIC_ENUM_CAP", "10")
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError, match="^256 assignments exceed the enumeration cap 10$"):
             is_taut_prop(make_chain("boolean"), phi)
+
+    def test_missing_delta_is_reported_before_the_cap(self, monkeypatch):
+        # 3^30 assignments are far over the cap, but the chain's missing
+        # delta is found first, while the formula is compiled.
+        phi = parse("!p0 /\\ " + " /\\ ".join(f"p{i}" for i in range(1, 30)), kind="prop")
+        monkeypatch.setenv("MVLOGIC_ENUM_CAP", "10")
+        with pytest.raises(UnsupportedChainError, match=r"lukasiewicz\(3\) has no delta"):
+            is_taut_prop(make_chain("lukasiewicz", 3), phi)
 
 
 class TestFoAxiomSoundness:
