@@ -314,21 +314,25 @@ def model_from_text(text: str) -> Model:
     if not rows or rows[0] != ["mtlmodel", "1"]:
         raise FormatError("expected header 'mtlmodel 1'")
     try:
-        if rows[1][0] != "domain":
+        if rows[1][0] != "domain" or len(rows[1]) != 2:
             raise FormatError("expected 'domain n'")
         n = int(rows[1][1])
         tables: dict[str, dict[tuple[int, ...], Fraction]] = {}
         i = 2
         while i < len(rows):
-            if rows[i][0] != "pred":
+            if rows[i][0] != "pred" or len(rows[i]) != 3:
                 raise FormatError(f"expected 'pred NAME ARITY', got {rows[i]}")
             name, arity = rows[i][1], int(rows[i][2])
             if arity < 0:
                 raise FormatError(f"predicate {name} has negative arity {arity}")
+            if name in tables:
+                raise FormatError(f"predicate {name} has two tables")
             i += 1
             cells: dict[tuple[int, ...], Fraction] = {}
             for _ in range(n**arity):
                 row = rows[i]
+                if len(row) != arity + 1:
+                    raise FormatError(f"expected {arity} arguments and a value, got {row}")
                 args = tuple(int(tok) for tok in row[:arity])
                 cells[args] = Fraction(row[arity])
                 i += 1

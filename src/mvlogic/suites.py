@@ -28,7 +28,11 @@ from .chains import (
     subchains,
 )
 from .formulas import (
+    Exists,
     Formula,
+    Iff,
+    Not,
+    Or,
     free_variables,
     parse,
     pretty,
@@ -48,7 +52,7 @@ from .reductions import (
     wnm_star,
 )
 from .search import find_countermodel, lift_prop, taut_upto_direct, verify_certificate
-from .semantics import Model, enumerate_models, eval_fo, eval_prop, is_taut_prop
+from .semantics import Model, enumerate_models, eval_fo, eval_prop, is_taut_prop, model_cells
 
 
 class Batch(NamedTuple):
@@ -325,57 +329,51 @@ def suite_lemma_gc1(max_n: int = 2) -> Cases:
             yield from _model_scan(chain, closed, max_n, terms, judge, case)
 
 
-def _instrumented_values(chain, model, phi):
-    """Values of all subformula occurrences at all valuations of the
-    formula's variables."""
-    vars_ = set()
-    for node in subformulas(phi):
-        if hasattr(node, "args"):
-            vars_.update(node.args)
-        if hasattr(node, "var"):
-            vars_.add(node.var)
-    vars_ = sorted(vars_)
-    out = set()
-    for values in itertools.product(range(1, model.domain_size + 1), repeat=len(vars_)):
-        v = dict(zip(vars_, values))
-        for node in subformulas(phi):
-            out.add(eval_fo(chain, model, v, node))
-    return out
+def _fixpoint_formula(phi: Formula) -> Formula:
+    """Closed, and 1 on a model iff some subformula of phi takes the
+    negation fixpoint at some valuation: on a chain, s <-> ~s is 1
+    exactly when s = ~s."""
+    parts = []
+    for s in dict.fromkeys(subformulas(phi)):
+        part = Iff(s, Not(s))
+        for x in reversed(free_variables(s)):
+            part = Exists(x, part)
+        parts.append(part)
+    return functools.reduce(Or, parts)
 
 
 def suite_lemma_pred(max_n: int = 2) -> Cases:
     """Definedness guard: positivity is valuation-uniform, and a
     positive guard rules out the negation fixpoint among all subformula
     values."""
-    chains = [make_chain("lukasiewicz", 2), make_chain("lukasiewicz", 3)]
-    for chain in chains:
-        profile = negation_profile(chain)
-        fix = None if profile.fixpoint is None else chain.carrier[profile.fixpoint]
+    for chain in [make_chain("lukasiewicz", 2), make_chain("lukasiewicz", 3)]:
+        fixpoint = negation_profile(chain).fixpoint
+
+        def judge(full, guard, fixed):
+            # A model whose guard is 0 (carrier index 0) is not a case;
+            # it passes unless the fixpoint formula is 1 (the top index).
+            return full ^ guard[0], full ^ fixed[-1]
+
         for phi in corpus.classical_corpus():
             guard = predef(phi)
-            sig = signature_of(phi)
-            models = (
-                m for n in range(1, max_n + 1) for m in enumerate_models(sig, n, chain.carrier)
-            )
-            for model in models:
-                vals = set()
-                for values in itertools.product(
-                    range(1, model.domain_size + 1), repeat=2
-                ):
-                    v = {"u1": values[0], "u2": values[1]}
-                    vals.add(eval_fo(chain, model, v, guard))
-                yield (
-                    len(vals) == 1,
-                    f"{chain.name} {pretty(phi)}: guard not valuation-uniform",
+            if free_variables(guard):
+                raise AssertionError(f"{pretty(phi)}: guard not valuation-uniform")
+            # A closed guard takes one value per model: one passing case each.
+            cells = (model_cells(signature_of(phi), n, chain.size) for n in range(1, max_n + 1))
+            yield Batch(sum(chain.size ** len(c) for c in cells), [])
+            if fixpoint is None:
+                continue
+            fixed = _fixpoint_formula(phi)
+
+            def case(model):
+                return (
+                    eval_fo(chain, model, {}, fixed) != chain.top,
+                    f"{chain.name} {pretty(phi)}: fixpoint {chain.carrier[fixpoint]} "
+                    "appears as a subformula value despite a positive guard",
                 )
-                positive = next(iter(vals)) > 0
-                if positive and fix is not None:
-                    sub_vals = _instrumented_values(chain, model, phi)
-                    yield (
-                        fix not in sub_vals,
-                        f"{chain.name} {pretty(phi)}: fixpoint {fix} appears "
-                        "as a subformula value despite a positive guard",
-                    )
+
+            terms = [(chain, guard, None), (chain, fixed, None)]
+            yield from _model_scan(chain, fixed, max_n, terms, judge, case)
 
 
 def suite_lemma_luk1(max_n: int = 2) -> Cases:

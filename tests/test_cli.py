@@ -233,6 +233,13 @@ class TestBadInputExits2:
             "zerodiv": write("z.cert", FORGED_CERT.replace("value 1/3", "value 1/0")
                              .format(hash=l2.table_hash())),
             "negarity": write("neg.model", "mtlmodel 1\ndomain 2\npred P -1\n"),
+            "twice": write("t.model", "mtlmodel 1\ndomain 1\npred P 1\n1 1/2\n"
+                           "pred P 1\n1 1\n"),
+            "extra": write("x.model", "mtlmodel 1\ndomain 1\npred P 1\n1 1/2 7\n"),
+            "extrapred": write("xp.model", "mtlmodel 1\ndomain 1\npred P 1 7\n1 1/2\n"),
+            "extradomain": write("xd.model", "mtlmodel 1\ndomain 1 5\npred P 1\n1 1/2\n"),
+            "extracert": write("x.cert", FORGED_CERT.replace("1/3", "1/2")
+                               .replace("1 1/2", "1 1/2 7").format(hash=l2.table_hash())),
         }
 
     @pytest.mark.parametrize("argv", [
@@ -249,8 +256,16 @@ class TestBadInputExits2:
          "--model", "{third}"],
         ["verify", "--certificate", "{zerodiv}"],
         ["eval", "--chain", "{luk2}", "--model", "{negarity}", "--formula", "P(x)"],
+        ["eval", "--chain", "{luk2}", "--model", "{twice}", "--formula", "P(x)"],
+        ["modelmap", "--pass", "boolean-collapse", "--chain", "{luk2}",
+         "--model", "{extra}"],
+        ["eval", "--chain", "{luk2}", "--model", "{extrapred}", "--formula", "P(x)"],
+        ["eval", "--chain", "{luk2}", "--model", "{extradomain}", "--formula", "P(x)"],
+        ["verify", "--certificate", "{extracert}", "--chain", "{luk2}"],
     ], ids=["max-size-0", "grid-0", "deep", "size-0", "label-5", "forged",
-            "no-hash", "eval", "modelmap", "value-1/0", "negative-arity"])
+            "no-hash", "eval", "modelmap", "value-1/0", "negative-arity",
+            "pred-twice", "extra-cell-token", "extra-pred-token",
+            "extra-domain-token", "extra-cert-token"])
     def test_exit_2(self, files, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main_argv([arg.format(**files) for arg in argv])

@@ -8,6 +8,7 @@ from mvlogic import (
     NotAnMVChainError,
     TranslationError,
     boolean_collapse,
+    count_models,
     delta_expand,
     delta_guard,
     double_neg,
@@ -27,7 +28,11 @@ from mvlogic import (
     universal_closure,
     wnm_star,
 )
+from mvlogic import suites
+from mvlogic.corpus import classical_corpus
+from mvlogic.formulas import subformulas
 from mvlogic.reductions import predef_atom
+from mvlogic.suites import _fixpoint_formula
 
 
 class TestWnmStar:
@@ -134,6 +139,87 @@ class TestPredef:
     def test_no_atoms_rejected(self):
         with pytest.raises(TranslationError):
             predef(parse("bot", kind="prop"))
+
+
+def _subformula_values(chain, model, phi):
+    """The values of every subformula occurrence of phi at every
+    valuation of its variables, one model at a time: the loop that the
+    lemma-pred suite ran before it moved to the mask engine."""
+    names = set()
+    for node in subformulas(phi):
+        names.update(getattr(node, "args", ()))
+        if hasattr(node, "var"):
+            names.add(node.var)
+    names = sorted(names)
+    out = set()
+    for values in itertools.product(range(1, model.domain_size + 1), repeat=len(names)):
+        v = dict(zip(names, values))
+        for node in subformulas(phi):
+            out.add(eval_fo(chain, model, v, node))
+    return out
+
+
+def _lemma_pred_failures(max_n):
+    """The lemma-pred failure messages, found model by model with the
+    suite's predef and the loop above."""
+    out = []
+    for chain in [make_chain("lukasiewicz", 2), make_chain("lukasiewicz", 3)]:
+        fixpoint = negation_profile(chain).fixpoint
+        if fixpoint is None:
+            continue
+        fix = chain.carrier[fixpoint]
+        for phi in classical_corpus():
+            guard = suites.predef(phi)
+            for n in range(1, max_n + 1):
+                for model in enumerate_models(signature_of(phi), n, chain.carrier):
+                    if eval_fo(chain, model, {}, guard) > 0 and fix in _subformula_values(
+                        chain, model, phi
+                    ):
+                        out.append(
+                            f"{chain.name} {pretty(phi)}: fixpoint {fix} appears "
+                            "as a subformula value despite a positive guard"
+                        )
+    return out
+
+
+class TestLemmaPred:
+    @pytest.mark.parametrize("chain", [make_chain("lukasiewicz", 2), make_chain("nm", 5)],
+                             ids=lambda c: c.name)
+    def test_fixpoint_formula_is_the_subformula_loop(self, chain):
+        # At most 200 models per (formula, n), spread over the whole space.
+        fix = chain.carrier[negation_profile(chain).fixpoint]
+        for phi in classical_corpus():
+            fixed = _fixpoint_formula(phi)
+            sig = signature_of(phi)
+            for n in (1, 2):
+                step = -(-count_models(sig, n, chain.carrier) // 200)
+                models = itertools.islice(enumerate_models(sig, n, chain.carrier), 0, None, step)
+                for model in models:
+                    got = eval_fo(chain, model, {}, fixed) == chain.top
+                    assert got == (fix in _subformula_values(chain, model, phi)), (
+                        pretty(phi), model
+                    )
+
+    def test_planted_failures_match_the_model_loop(self, monkeypatch):
+        # A guard that is always 1 lets the fixpoint through; the mask
+        # scan must name the failing models the model loop names, in order.
+        monkeypatch.setattr(suites, "predef", lambda phi: parse("bot -> bot"))
+        report = suites.SUITES["lemma-pred"](max_n=1)
+        assert (report.cases, len(report.failures)) == (732, 102)
+        assert report.failures == _lemma_pred_failures(max_n=1)
+
+    def test_passing_run_makes_no_eval_fo_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(suites, "eval_fo",
+                            lambda *args: calls.append(args) or eval_fo(*args))
+        report = suites.SUITES["lemma-pred"]()
+        assert report.ok and report.cases == 8_304
+        assert calls == []
+
+    def test_open_guard_rejected(self, monkeypatch):
+        monkeypatch.setattr(suites, "predef", lambda phi: parse("P(x)"))
+        with pytest.raises(AssertionError, match="valuation-uniform"):
+            suites.SUITES["lemma-pred"](max_n=1)
 
 
 class TestLukStar:
