@@ -164,9 +164,17 @@ class Chain(BaseChain):
 
     @cached_property
     def _hash(self) -> str:
-        import hashlib  # on first use: it maps OpenSSL, some MB of memory
-
-        return hashlib.sha256(self._text.encode()).hexdigest()
+        # The builtin sha256 (_sha2 from 3.12, _sha256 before), not
+        # hashlib's, which maps OpenSSL: some MB of memory.  The digests
+        # are the same.
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            try:
+                from _sha256 import sha256
+            except ImportError:
+                from hashlib import sha256
+        return sha256(self._text.encode()).hexdigest()
 
     def table_hash(self) -> str:
         """Hash of the canonical serialization, used in certificates."""
@@ -588,6 +596,9 @@ def ordinal_sum(first: BaseChain, second: BaseChain, name: str = "") -> Chain:
 #   labels r0 r1 ... r(k-1)
 #   delta 0|1
 #   <k rows of k star-table indices>
+#   [embed A -> B ...]     (optional trailer: label A of this chain is
+#                           label B of the chain it was cut from, as the
+#                           fragment command writes it)
 
 
 def chain_to_text(chain: BaseChain) -> str:
@@ -602,16 +613,22 @@ def chain_from_text(text: str, name: str = "loaded") -> Chain:
     if not fields or fields[0] != ["mtlchain", "1"]:
         raise FormatError("expected header 'mtlchain 1'")
     try:
-        if fields[1][0] != "size":
+        if fields[1][0] != "size" or len(fields[1]) != 2:
             raise FormatError("expected 'size k'")
         k = int(fields[1][1])
         if fields[2][0] != "labels":
             raise FormatError("expected 'labels ...'")
         labels = tuple(Fraction(tok) for tok in fields[2][1:])
-        if fields[3][0] != "delta" or fields[3][1] not in ("0", "1"):
+        if fields[3] not in (["delta", "0"], ["delta", "1"]):
             raise FormatError("expected 'delta 0|1'")
         delta = fields[3][1] == "1"
         rows = [tuple(int(tok) for tok in row) for row in fields[4 : 4 + k]]
+        for line in fields[4 + k :]:
+            if (len(line), line[0], line[2]) != (4, "embed", "->") or Fraction(line[1]) not in labels:
+                raise FormatError(
+                    f"expected 'embed A -> B' with A a label after the table, got {' '.join(line)!r}"
+                )
+            Fraction(line[3])  # B: a value of the chain this one was cut from
     except (IndexError, ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"malformed chain file: {exc}") from exc
     if k < 1:

@@ -176,6 +176,7 @@ def signature_of(phi: Formula) -> dict[str, int]:
 
 
 def is_closed(phi: Formula) -> bool:
+    """Whether phi has no free individual variable."""
     return not free_variables(phi)
 
 

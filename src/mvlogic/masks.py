@@ -11,7 +11,10 @@ model of rank r.  Connectives combine masks with & and |, which run in
 C, so no Fraction and no Python-level loop touches a model; Fractions
 appear only when a rank is decoded back into a Model.  A propositional
 formula is evaluated the same way over a space whose cells are its
-variables: a Var reads its cell as an Atom does.
+variables: a Var reads its cell as an Atom does.  A grid of a rational
+family, whose carrier is infinite, is scanned through grid_tables: the
+family's operations tabulated on the finitely many values the formula
+can reach from the grid.
 
 A scan walks the rank space in aligned chunks whose size is a power of
 the radix.  The first chunk holds about 2^10 ranks, so an early
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .chains import Chain
+from .chains import ONE, ZERO, Chain, RationalFamilyChain
 from .errors import EvaluationError, UnsupportedChainError
 from .formulas import (
     And,
@@ -45,6 +48,7 @@ from .semantics import Model, model_cells
 FIRST_CHUNK_BITS = 1 << 10
 MAX_CHUNK_BITS = 1 << 22
 MASK_BUDGET_BITS = 1 << 28  # about 32 MB of masks alive at once
+GRID_VALUE_CAP = 256  # reachable values of a rational-grid scan on the masks
 
 
 def ranks(mask: int) -> Iterator[int]:
@@ -151,18 +155,22 @@ class Chunk:
 
 
 class Program:
-    """A closed formula over a finite chain, instantiated at the
-    space's domain size as a straight-line list of mask operations.
-    Cells are read through `leaf`: digit d is carrier index leaf[d].
+    """A closed formula over a finite chain (or the GridTables of a
+    rational family), instantiated at the space's domain size as a
+    straight-line list of mask operations.  Cells are read through
+    `leaf`: digit d is carrier index leaf[d].
 
     Each (subformula, valuation of its free variables) becomes one
-    instruction, and equal instructions are shared.  At domain size 1
-    every valuation is all-1, so the subformula alone is the key.
-    Registers are dropped after their last use; `live_bits` bounds the
-    mask bits per rank alive at once.
+    instruction, and equal instructions are shared; a min or max of
+    one distinct register is that register, as every quantifier is at
+    domain size 1.  At domain size 1 every valuation is all-1, so the
+    subformula alone is the key.  Registers are dropped after their
+    last use; `live_bits` bounds the mask bits per rank alive at once.
     """
 
-    def __init__(self, chain: Chain, phi: Formula, space: Space, leaf: tuple[int, ...]):
+    def __init__(
+        self, chain: Chain | GridTables, phi: Formula, space: Space, leaf: tuple[int, ...]
+    ):
         self.k = chain.size
         self.leaf = leaf
         self.tables = chain.operation_tables
@@ -199,11 +207,24 @@ class Program:
                     raise UnsupportedChainError(f"chain {chain.name} has no delta operation")
             elif (t is Forall or t is Exists) and not propositional:
                 op = "min" if t is Forall else "max"
-                ins = (op,) + tuple(
-                    emit(node.body, {**env, node.var: e}) for e in range(1, space.n + 1)
-                )
+                var, saved = node.var, env.get(node.var)
+                ins = [op]
+                for e in range(1, space.n + 1):
+                    env[var] = e
+                    ins.append(emit(node.body, env))
+                if saved is None:
+                    del env[var]
+                else:
+                    env[var] = saved
             else:
                 raise EvaluationError(f"cannot evaluate node {node!r}")
+            if op == "min" or op == "max":
+                # Order and repeats do not matter; of one register, it.
+                args = sorted(set(ins[1:]))
+                if len(args) == 1:
+                    seen[key] = args[0]
+                    return args[0]
+                ins = (op, *args)
             reg = made.get(ins)
             if reg is None:
                 reg = made[ins] = len(code)
@@ -216,6 +237,7 @@ class Program:
 
         last: dict[int, int] = {}  # register -> index of its last reader
         self.result = emit(phi, {})
+        del emit  # the closure refers to itself: free it without the cyclic GC
         self.drops = [[] for _ in code]
         for reg, i in last.items():
             if reg != self.result:
@@ -243,7 +265,8 @@ class Program:
                 out = [0] * k
                 table = self.tables[op]
                 for v, mask in enumerate(regs[args[0]]):
-                    out[table[v]] |= mask
+                    if mask:
+                        out[table[v]] |= mask
             else:
                 out = _pairs(self.tables[op], regs[args[0]], regs[args[1]], k)
             regs[i] = out
@@ -291,6 +314,109 @@ def _fold(args: list[list[int]], meet: bool, k: int, full: int) -> list[int]:
     return out
 
 
+class GridTables:
+    """A rational family's operations tabulated on `carrier`, the sorted
+    values that a closed formula can reach from a grid: what a Program
+    reads in place of a finite chain.  A table holds only the entries
+    that the formula can reach, as dict rows; _pairs and the unary step
+    read only where a mask is nonzero, so a miss would fail loudly."""
+
+    def __init__(self, chain: RationalFamilyChain, carrier: list, operation_tables: dict):
+        self.name = chain.name
+        self.has_delta = chain.has_delta
+        self.carrier = carrier
+        self.size = len(carrier)
+        self.operation_tables = operation_tables
+        self._index = {v: i for i, v in enumerate(carrier)}
+
+    def index(self, x) -> int:
+        return self._index[x]
+
+
+class _CapPassed(Exception):
+    pass
+
+
+def grid_tables(chain: RationalFamilyChain, phi: Formula, values) -> GridTables | None:
+    """The tables of phi over grid `values` on a rational family, or None
+    as soon as more than GRID_VALUE_CAP values are reachable.
+
+    One bottom-up pass computes V(node), a superset of the values the
+    node takes on any model with cells in the grid: V(atom) is the grid,
+    V(bot) = {0}, a quantifier keeps the set of its body, /\\ and \\/
+    take the union, and the other connectives apply the family's own
+    star_fn and residuum_fn to every pair of child values, each
+    (operation, x, y) once.  The carrier is U, the union of every V with
+    the grid, 0 and 1, in order, so that index order is value order."""
+    res = chain.residuum_fn
+    fns = {
+        "neg": lambda x, _: res(x, ZERO),
+        "delta": lambda x, _: ONE if x == ONE else ZERO,
+        "star": chain.star_fn,
+        "res": res,
+        "iff": lambda x, y: min(res(x, y), res(y, x)),
+    }
+    memo: dict[str, dict] = {op: {} for op in fns}  # op -> (i, j) -> result
+    found: list = []  # U in order of discovery; sets below hold its indices
+    ids: dict = {}
+
+    def intern(x) -> int:
+        i = ids.get(x)
+        if i is None:
+            i = ids[x] = len(found)
+            found.append(x)
+        return i
+
+    def walk(node) -> set:
+        t = type(node)
+        if t is Atom:
+            return grid
+        if t is Bottom:
+            return {0}
+        if t is Forall or t is Exists:
+            return walk(node.body)
+        if t is And or t is Or:
+            return walk(node.left) | walk(node.right)
+        if t is Not or t is Delta:  # unary: a dummy second argument
+            op, a, b = "neg" if t is Not else "delta", walk(node.sub), (0,)
+        elif t in _BINARY:
+            op, a, b = _BINARY[t], walk(node.left), walk(node.right)
+        else:
+            return set()  # Program reports the node
+        fn, seen, out = fns[op], memo[op], set()
+        for i in a:
+            for j in b:
+                r = seen.get((i, j))
+                if r is None:
+                    r = seen[i, j] = intern(fn(found[i], found[j]))
+                out.add(r)
+            if len(found) > GRID_VALUE_CAP:
+                raise _CapPassed
+        return out
+
+    intern(ZERO)  # index 0, the value of bot
+    intern(ONE)
+    grid = set(map(intern, values))
+    if len(found) > GRID_VALUE_CAP:
+        return None
+    try:
+        walk(phi)
+    except _CapPassed:
+        return None
+    order = sorted(range(len(found)), key=found.__getitem__)
+    pos = [0] * len(found)
+    for p, i in enumerate(order):
+        pos[i] = p
+    tables: dict[str, dict] = {op: {} for op in fns}
+    for op, seen in memo.items():
+        for (i, j), r in seen.items():
+            if op == "neg" or op == "delta":
+                tables[op][pos[i]] = pos[r]
+            else:
+                tables[op].setdefault(pos[i], {})[pos[j]] = pos[r]
+    return GridTables(chain, [found[i] for i in order], tables)
+
+
 def _free_variables(phi: Formula) -> dict[int, tuple[str, ...]]:
     """Free individual variables of every node, keyed by id(node)."""
     out: dict[int, tuple[str, ...]] = {}
@@ -301,9 +427,9 @@ def _free_variables(phi: Formula) -> dict[int, tuple[str, ...]]:
             free = frozenset(node.args)
         elif t is Forall or t is Exists:
             free = walk(node.body) - {node.var}
-        elif hasattr(node, "sub"):
+        elif t is Not or t is Delta:
             free = walk(node.sub)
-        elif hasattr(node, "left"):
+        elif t in _BINARY:
             free = walk(node.left) | walk(node.right)
         else:
             free = frozenset()
@@ -315,32 +441,27 @@ def _free_variables(phi: Formula) -> dict[int, tuple[str, ...]]:
 
 
 def first_failure(
-    chain: Chain, phi: Formula, sig: dict[str, int], n: int, values: tuple, skip: int = 0
+    chain: Chain | GridTables, phi: Formula, sig: dict[str, int], n: int, values: tuple
 ) -> tuple[Model, int] | None:
     """The canonically first model of sig over {1..n}, cells drawn from
     values, on which the closed phi is not 1, with the carrier index of
-    its value; None if there is none.  The first `skip` ranks are not
-    scanned."""
+    its value; None if there is none."""
     space = Space(sig, n, len(values))
-    if space.size <= skip:
-        return None
     if values is chain.carrier:
         leaf = tuple(range(chain.size))
     else:
         leaf = tuple(map(chain.index, values))
-    found = first_rank(space, Program(chain, phi, space, leaf), skip)
+    found = first_rank(space, Program(chain, phi, space, leaf))
     return found and (space.model(found[0], values), found[1])
 
 
-def first_rank(space: Space, program: Program, skip: int = 0) -> tuple[int, int] | None:
-    """The first rank from `skip` on at which the program's value is not
-    the top index, with that value; None if there is none."""
+def first_rank(space: Space, program: Program) -> tuple[int, int] | None:
+    """The first rank at which the program's value is not the top
+    index, with that value; None if there is none."""
     top = program.k - 1
     for chunk in space.chunks(program):
         masks = program.run(chunk)
         bad = chunk.full ^ masks[top]
-        if chunk.start < skip:
-            bad &= -1 << (skip - chunk.start)
         if bad:
             low = next(ranks(bad))
             value = next(v for v, mask in enumerate(masks) if mask >> low & 1)

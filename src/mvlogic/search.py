@@ -2,15 +2,19 @@
 model-enumeration tautology check, and the propositional-to-first-order
 lifting.
 
+The direct scan runs on the mask engine (masks.py) for a finite chain
+and for a grid of a rational family alike; eval_fo, the Fraction
+evaluator, re-checks each witness and is the certificate checker.
+
 A certificate embeds everything needed for offline re-checking: the
 chain (by name, table hash and inline copy), the closed formula text,
 the witness model and the computed truth value, which must be strictly
-below 1.
+below 1.  A rational-family chain has no table, so its certificates
+carry the hash "-" and no inline copy.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -31,8 +35,6 @@ from .formulas import (
 )
 from .grounding import Verdict
 from .semantics import Model, enumerate_models, eval_fo, model_from_text, model_to_text
-
-PROBE = 64  # models per domain size checked by eval_fo before the masks
 
 
 @dataclass(frozen=True)
@@ -57,11 +59,11 @@ def _first_countermodel(
     1..max_size with values from `values` on which the closed formula
     is not 1, with its value.
 
-    A rational family is scanned model by model.  On a finite chain
-    only the first PROBE models of each domain size are; the mask
-    engine scans the rest, and eval_fo re-checks the witness it finds.
-    Building the masks costs several evaluations, so a refutation among
-    the first models stays as cheap as a model-by-model scan."""
+    The mask engine scans every domain size, and eval_fo re-checks the
+    witness it finds.  On a rational family the engine runs on the
+    values the formula can reach from the grid (masks.grid_tables),
+    tabulated once per call; past masks.GRID_VALUE_CAP of them, the
+    models are evaluated one by one with eval_fo instead."""
     # Imported by the first scan, not with the package, so that commands
     # that scan no models do not load (or, without cached bytecode,
     # compile) the engine.
@@ -70,20 +72,22 @@ def _first_countermodel(
     if max_size < 1:
         raise InvalidParameterError(f"max_size must be >= 1, got {max_size}")
     sig = signature_of(closed)
-    finite = isinstance(chain, Chain)
+    tables = chain if isinstance(chain, Chain) else masks.grid_tables(chain, closed, values)
+    if tables is None:
+        for n in range(1, max_size + 1):
+            for model in enumerate_models(sig, n, values):
+                val = eval_fo(chain, model, {}, closed)
+                if val != chain.top:
+                    return model, val
+        return None
     for n in range(1, max_size + 1):
-        models = enumerate_models(sig, n, values)
-        for model in itertools.islice(models, PROBE) if finite else models:
-            val = eval_fo(chain, model, {}, closed)
-            if val != chain.top:
-                return model, val
-        found = masks.first_failure(chain, closed, sig, n, values, PROBE) if finite else None
+        found = masks.first_failure(tables, closed, sig, n, values)
         if found is not None:
             model, index = found
             val = eval_fo(chain, model, {}, closed)
-            if val != chain.carrier[index]:
+            if val != tables.carrier[index]:
                 raise AssertionError(
-                    f"mask value {chain.carrier[index]} differs from eval_fo "
+                    f"mask value {tables.carrier[index]} differs from eval_fo "
                     f"value {val} on {pretty(closed)}"
                 )
             return model, val

@@ -266,6 +266,7 @@ def model_cells(sig: dict[str, int], n: int, radix: int) -> list[tuple[str, tupl
 
 
 def count_models(sig: dict[str, int], n: int, values) -> int:
+    """The number of models of sig over {1..n} with cells from values."""
     return len(values) ** sum(n**arity for arity in sig.values())
 
 

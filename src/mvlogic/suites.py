@@ -238,10 +238,11 @@ def _coding_cases(chain: Chain, phi: Formula, n: int, models) -> Cases:
     gets the value its grounding gets under the induced assignment."""
     closed = universal_closure(phi)
     g = ground(closed, n)
+    head = f"{chain.name} {pretty(phi)} n={n}"
     for model in models:
         direct = eval_fo(chain, model, {}, closed)
         coded = eval_prop(chain, induced_assignment(model), g.formula)
-        yield direct == coded, f"{chain.name} {pretty(phi)} n={n}: {direct} != {coded}"
+        yield direct == coded, f"{head}: {direct} != {coded}"
 
 
 def suite_lemma_clos(trials: int = 50, seed: int = 11, bound: int = 2) -> Cases:

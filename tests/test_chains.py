@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -26,6 +27,7 @@ from mvlogic import (
     trivial_chain,
 )
 from mvlogic.chains import cn_schema, dnm_schema, gn_schema
+from mvlogic.suites import custom_wnm_chains, shipped_chains
 
 
 class TestMakeChain:
@@ -331,6 +333,27 @@ class TestChainFiles:
         with pytest.raises(ChainLawError):
             chain_from_text("mtlchain 1\nsize 1\nlabels 5\ndelta 0\n0\n")
         assert chain_from_text(chain_to_text(trivial_chain())).size == 1
+
+    def test_embed_lines_are_the_one_trailer(self):
+        text = chain_to_text(make_chain("lukasiewicz", 2))
+        assert chain_from_text(text + "embed 1/2 -> 1/4\nembed 1 -> 1\n").size == 3
+        for bad in (
+            text.replace("size 3", "size 3 9"),
+            text.replace("delta 0", "delta 0 5"),
+            text + "garbage line here\n",
+            text + "embed 1/3 -> 1/3\n",  # 1/3 is not a label
+            text + "embed 1/2 -> 1/4 1\n",
+            text + "embed 1/2 -> x\n",
+            text + "0 1 2\n",  # a fourth table row
+        ):
+            with pytest.raises(FormatError):
+                chain_from_text(bad)
+
+    def test_table_hash_is_sha256_of_the_text(self):
+        for c in [*shipped_chains(), *custom_wnm_chains(),
+                  delta_expand(make_chain("lukasiewicz", 3)), trivial_chain()]:
+            text = chain_to_text(c)
+            assert c.table_hash() == hashlib.sha256(text.encode()).hexdigest()
 
     def test_whitespace_tolerant(self):
         text = chain_to_text(make_chain("lukasiewicz", 2))

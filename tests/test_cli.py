@@ -183,6 +183,11 @@ class TestModelmapFragment:
         out = capsys.readouterr().out
         assert "size 3" in out
         assert "embed" in out
+        # The embed lines are the chain file's one trailer.
+        frag = tmp_path / "frag.chain"
+        frag.write_text(out)
+        assert run(["chain", "check", str(frag)]) == 0
+        assert capsys.readouterr().out.startswith("all-pass: 3 elements")
 
 
 class TestSuiteCommand:
@@ -226,6 +231,8 @@ class TestBadInputExits2:
             "luk2": luk2_file,
             "size0": write("s0.chain", "mtlchain 1\nsize 0\nlabels\ndelta 0\n"),
             "label5": write("l5.chain", "mtlchain 1\nsize 1\nlabels 5\ndelta 0\n0\n"),
+            "size39": write("s39.chain", chain_to_text(l2).replace("size 3", "size 3 9")),
+            "garbage": write("g.chain", chain_to_text(l2) + "garbage line here\n"),
             "forged": write("f.cert", FORGED_CERT.format(hash=l2.table_hash())),
             "nohash": write("n.cert", FORGED_CERT.replace("1/3", "0").format(hash="-")),
             "third": write("m.model", model_to_text(
@@ -249,6 +256,8 @@ class TestBadInputExits2:
         ["parse", "--kind", "prop", "--formula", "~" * 5000 + "p"],
         ["chain", "check", "{size0}"],
         ["chain", "check", "{label5}"],
+        ["chain", "check", "{size39}"],
+        ["chain", "check", "{garbage}"],
         ["verify", "--certificate", "{forged}", "--chain", "{luk2}"],
         ["verify", "--certificate", "{nohash}", "--chain", "{luk2}"],
         ["eval", "--chain", "{luk2}", "--model", "{third}", "--formula", "P(x)"],
@@ -262,7 +271,8 @@ class TestBadInputExits2:
         ["eval", "--chain", "{luk2}", "--model", "{extrapred}", "--formula", "P(x)"],
         ["eval", "--chain", "{luk2}", "--model", "{extradomain}", "--formula", "P(x)"],
         ["verify", "--certificate", "{extracert}", "--chain", "{luk2}"],
-    ], ids=["max-size-0", "grid-0", "deep", "size-0", "label-5", "forged",
+    ], ids=["max-size-0", "grid-0", "deep", "size-0", "label-5", "size-3-9",
+            "trailing-garbage", "forged",
             "no-hash", "eval", "modelmap", "value-1/0", "negative-arity",
             "pred-twice", "extra-cell-token", "extra-pred-token",
             "extra-domain-token", "extra-cert-token"])

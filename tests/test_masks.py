@@ -5,14 +5,18 @@ model that the rank decodes to, and that model is the one
 enumerate_models yields at that position.  The engine's first failing
 rank equals the first failing model of an enumerate_models + eval_fo
 scan, the model-by-model loop that the engine replaced, kept here as
-the oracle; is_taut_prop's verdict and witness equal those of an
-itertools.product + eval_prop scan over the assignments.  Chunk sizes
-are shrunk in some examples so that one small space spans many chunks.
+the oracle.  On the rational families, find_countermodel's grid scan
+on the masks, over the values the formula can reach, equals that loop
+too, with the loop's Fraction arithmetic as the oracle.  is_taut_prop's
+verdict and witness equal those of an itertools.product + eval_prop
+scan over the assignments.  Chunk sizes are shrunk in some examples so
+that one small space spans many chunks.
 """
 
 import contextlib
 import itertools
 import re
+from fractions import Fraction as F
 from unittest import mock
 
 import pytest
@@ -31,6 +35,7 @@ from mvlogic import (
     find_countermodel,
     is_taut_prop,
     make_chain,
+    make_rational_chain,
     make_wnm_chain,
     parse,
     signature_of,
@@ -188,7 +193,6 @@ def test_first_failure_is_the_first_failing_model(chain, phi, n, bits, data):
             st.lists(st.sampled_from(chain.carrier), min_size=1, max_size=4).map(tuple),
         )
     )
-    skip = data.draw(st.sampled_from([0, 0, 5]))
     closed, sig = _closed_case(chain, phi, n)
     assume(count_models(sig, n, values) <= MAX_MODELS)
     models = list(enumerate_models(sig, n, values))
@@ -197,16 +201,15 @@ def test_first_failure_is_the_first_failing_model(chain, phi, n, bits, data):
             (
                 (rank, value)
                 for rank, model in enumerate(models)
-                if rank >= skip
-                and (value := eval_fo(chain, model, {}, closed)) != chain.top
+                if (value := eval_fo(chain, model, {}, closed)) != chain.top
             ),
             None,
         )
     except MvlogicError as exc:
-        _same_error(exc, lambda: masks.first_failure(chain, closed, sig, n, values, skip))
+        _same_error(exc, lambda: masks.first_failure(chain, closed, sig, n, values))
         return
     with _small_chunks(bits):
-        found = masks.first_failure(chain, closed, sig, n, values, skip)
+        found = masks.first_failure(chain, closed, sig, n, values)
     if oracle is None:
         assert found is None
     else:
@@ -214,6 +217,77 @@ def test_first_failure_is_the_first_failing_model(chain, phi, n, bits, data):
         model, index = found
         assert model == models[rank]
         assert chain.carrier[index] == value
+
+
+RATIONAL = [
+    *(make_rational_chain(f) for f in ("lukasiewicz", "godel", "product", "nm", "dp")),
+    delta_expand(make_rational_chain("product")),
+]
+GRIDS = [
+    (F(0), F(1, 3), F(1, 2), F(2, 3), F(1)),  # perfbench's --grid 3
+    (F(1, 2), F(0), F(1), F(1, 3)),  # unsorted
+    (F(2, 3), F(1, 3), F(2, 3), F(1, 2)),  # a duplicate, and neither 0 nor 1
+    (F(1, 4),),
+]
+
+
+def _fraction_loop(chain, closed, max_size, values):
+    """The model-by-model scan that the grid engine replaced."""
+    sig = signature_of(closed)
+    for n in range(1, max_size + 1):
+        for model in enumerate_models(sig, n, values):
+            value = eval_fo(chain, model, {}, closed)
+            if value != chain.top:
+                return model, value
+    return None
+
+
+@PROPERTY
+@given(
+    chain=st.sampled_from(RATIONAL),
+    phi=formulas,
+    values=st.sampled_from(GRIDS),
+    max_size=st.integers(1, 2),
+    cap=st.sampled_from([None, None, 0, 6]),
+)
+def test_grid_scan_is_the_fraction_loop(chain, phi, values, max_size, cap):
+    closed = universal_closure(phi)
+    sig = signature_of(closed)
+    assume(sum(count_models(sig, n, values) for n in range(1, max_size + 1)) <= MAX_MODELS)
+    patch = contextlib.nullcontext() if cap is None else mock.patch.object(masks, "GRID_VALUE_CAP", cap)
+    try:
+        oracle = _fraction_loop(chain, closed, max_size, values)
+    except MvlogicError as exc:
+        with patch, pytest.raises(type(exc)):
+            find_countermodel(chain, closed, max_size, values)
+        return
+    with patch:
+        if cap == 0:  # past the cap: the model-by-model loop answers
+            assert masks.grid_tables(chain, closed, values) is None
+        cert = find_countermodel(chain, closed, max_size, values)
+    if oracle is None:
+        assert cert is None
+    else:
+        assert (cert.model, cert.value, cert.chain_hash) == (*oracle, "-")
+
+
+def test_grid_tables_are_the_reachable_values():
+    chain = make_rational_chain("product")
+    tables = masks.grid_tables(chain, parse("forall x. (P(x) & P(x))"), (F(1, 2), F(1, 3)))
+    assert tables.carrier == [F(0), F(1, 9), F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(1)]
+    # Only the pairs that the formula reaches are tabulated.
+    assert tables.operation_tables["star"] == {4: {4: 1, 5: 2}, 5: {4: 2, 5: 3}}
+    assert tables.operation_tables["res"] == {}
+    with mock.patch.object(masks, "GRID_VALUE_CAP", 6):
+        assert masks.grid_tables(chain, parse("P(x) & P(x)"), (F(1, 2), F(1, 3))) is None
+
+
+def test_grid_residuum_is_the_family_own():
+    # Over the dense rationals dp takes 1/2 -> 0 to 1; a residuum derived
+    # from the star on {0, 1/2, 1} would give 1/2 and a countermodel.
+    dp = make_rational_chain("dp")
+    assert find_countermodel(dp, parse("~P(x)"), 2, (F(1, 2),)) is None
+    assert find_countermodel(make_chain("dp", 3), parse("~P(x)"), 2, (F(1, 2),)).value == F(1, 2)
 
 
 @PROPERTY
