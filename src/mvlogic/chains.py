@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 from . import formulas
@@ -106,12 +106,12 @@ class Chain(BaseChain):
         k = self.size
         table = []
         for x in range(k):
+            column = [row[x] for row in self.star_table]
             row = []
             for y in range(k):
-                z = next(
-                    (z for z in range(k - 1, -1, -1) if self.star_table[z][x] <= y),
-                    0,
-                )
+                z = k - 1
+                while z and column[z] > y:
+                    z -= 1
                 row.append(z)
             table.append(tuple(row))
         return tuple(table)
@@ -164,17 +164,7 @@ class Chain(BaseChain):
 
     @cached_property
     def _hash(self) -> str:
-        # The builtin sha256 (_sha2 from 3.12, _sha256 before), not
-        # hashlib's, which maps OpenSSL: some MB of memory.  The digests
-        # are the same.
-        try:
-            from _sha2 import sha256
-        except ImportError:
-            try:
-                from _sha256 import sha256
-            except ImportError:
-                from hashlib import sha256
-        return sha256(self._text.encode()).hexdigest()
+        return _sha256()(self._text.encode()).hexdigest()
 
     def table_hash(self) -> str:
         """Hash of the canonical serialization, used in certificates."""
@@ -202,6 +192,22 @@ class RationalFamilyChain(BaseChain):
 
     def implies(self, x: Fraction, y: Fraction) -> Fraction:
         return self.residuum_fn(x, y)
+
+
+@cache
+def _sha256():
+    """The builtin sha256 constructor (_sha2 from 3.12, _sha256 before),
+    not hashlib's, which maps OpenSSL: some MB of memory.  The digests
+    are the same.  Resolved once: a failed import is not cached, and
+    retrying it searches sys.path again."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
 
 
 def require_finite(chain: BaseChain) -> Chain:
@@ -411,17 +417,23 @@ def check_chain(chain: BaseChain) -> ValidityReport:
                         "monotonicity", (i, j), "star decreasing in second argument"
                     )
                 )
-    for i in range(k):
-        for j in range(k):
-            for l in range(k):
-                if star[star[i][j]][l] != star[i][star[j][l]]:
+    # The k^3 laws, with the rows of the outer indices looked up once.
+    ks = range(k)
+    for i in ks:
+        si = star[i]
+        for j in ks:
+            left, sj = star[si[j]], star[j]
+            for l in ks:
+                if left[l] != si[sj[l]]:
                     bad.append(
                         LawViolation("associativity", (i, j, l), "star((x,y),z) != star(x,(y,z))")
                     )
-    for x in range(k):
-        for y in range(k):
-            for z in range(k):
-                if (star[z][x] <= y) != (z <= res[x][y]):
+    for x in ks:
+        column, rx = [row[x] for row in star], res[x]
+        for y in ks:
+            r = rx[y]
+            for z in ks:
+                if (column[z] <= y) != (z <= r):
                     bad.append(
                         LawViolation(
                             "residuation",

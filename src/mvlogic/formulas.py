@@ -13,8 +13,9 @@ possible).  ``->`` associates to the right.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import ParseError, SignatureError
 
@@ -302,12 +303,17 @@ _BINARY_OPS = {
 }
 _OPERAND = 6  # min_prec of the operand of ~ and !: no connective binds in it
 
-_SYMBOLS = ["<->", "->", "/\\", "\\/", "&", "~", "!", "(", ")", ",", "."]
 _KEYWORDS = {"forall", "exists", "bot"}
 
+# One match per newline, symbol, word or stray character; whitespace
+# other than "\n" matches nothing and is skipped.  A word is a run of
+# str.isalnum, "_" and "'" that does not start with "'"; it is a name
+# only if its first character is a letter or "_" (a digit, "²" or "Ⅷ"
+# is alphanumeric but cannot start one).
+_TOKEN_RE = re.compile(r"(\n)|(<->|->|/\\|\\/|[&~!(),.])|(\w[\w']*)|(\S)")
 
-@dataclass(frozen=True)
-class _Token:
+
+class _Token(NamedTuple):
     kind: str  # symbol text, "name" or "eof"
     text: str
     line: int
@@ -315,43 +321,21 @@ class _Token:
 
 
 def _tokenize(text: str) -> list[_Token]:
+    # Every character but "\n" is one column, so a token's column is
+    # its offset from the start of its line.
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        matched = None
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                matched = sym
-                break
-        if matched:
-            tokens.append(_Token(matched, matched, line, col))
-            i += len(matched)
-            col += len(matched)
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            word = text[i:j]
-            kind = word if word in _KEYWORDS else "name"
-            tokens.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        group, word, column = m.lastindex, m.group(), m.start() - line_start + 1
+        if group == 1:
+            line, line_start = line + 1, m.end()
+        elif group == 2:
+            tokens.append(_Token(word, word, line, column))
+        elif group == 3 and (word[0].isalpha() or word[0] == "_"):
+            tokens.append(_Token(word if word in _KEYWORDS else "name", word, line, column))
+        else:
+            raise ParseError(f"unexpected character {word[0]!r}", line, column)
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -365,20 +349,16 @@ class _Parser:
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def expect(self, kind: str) -> _Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind:
             raise ParseError(
                 f"expected {kind!r}, found {tok.text or 'end of input'!r}",
                 tok.line,
                 tok.column,
             )
-        return self.next()
+        self.pos += 1
+        return tok
 
     def fail(self, message: str) -> ParseError:
         tok = self.peek()
@@ -398,21 +378,21 @@ class _Parser:
             raise self.fail(f"formula nests deeper than {MAX_DEPTH} levels")
         self.depth += 1
         left, height = self.unary()
-        while self.peek().kind in _BINARY_OPS:
-            prec, node = _BINARY_OPS[self.peek().kind]
-            if prec < min_prec:
-                break
-            self.next()
+        tokens = self.tokens
+        op = _BINARY_OPS.get(tokens[self.pos].kind)
+        while op is not None and op[0] >= min_prec:
+            prec, node = op
+            self.pos += 1
             # -> is right-associative, the others left-associative.
             right, right_height = self.formula(prec if node is Implies else prec + 1)
             left, height = node(left, right), max(height, right_height) + 1
+            op = _BINARY_OPS.get(tokens[self.pos].kind)
         if height > MAX_DEPTH:
             raise self.fail(f"formula nests deeper than {MAX_DEPTH} levels")
         self.depth -= 1
         return left, height
 
-    def _quantifier(self) -> tuple[Formula, int]:
-        tok = self.next()
+    def _quantifier(self, tok: _Token) -> tuple[Formula, int]:
         if self.kind == "prop":
             raise ParseError(
                 "quantifier in a propositional formula", tok.line, tok.column
@@ -424,42 +404,42 @@ class _Parser:
         return node(var, body), height + 1
 
     def unary(self) -> tuple[Formula, int]:
-        tok = self.peek()
-        if tok.kind in ("~", "!"):
-            self.next()
-            sub, height = self.formula(_OPERAND)
-            return (Not if tok.kind == "~" else Delta)(sub), height + 1
-        if tok.kind in ("forall", "exists"):
-            return self._quantifier()
-        return self.primary()
-
-    def primary(self) -> tuple[Formula, int]:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.next()
+        """A unary formula: ~ or ! and its operand, a quantifier, a
+        parenthesized formula, bot or an atom."""
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind == "name":
+            self.pos += 1
+            if self.tokens[self.pos].kind != "(":
+                return (Atom(tok.text, ()) if self.kind == "fo" else Var(tok.text)), 1
+            if self.kind == "prop":
+                raise ParseError(
+                    "predicate atom in a propositional formula",
+                    tok.line,
+                    tok.column,
+                )
+            self.pos += 1
+            args = [self.expect("name").text]
+            while self.tokens[self.pos].kind == ",":
+                self.pos += 1
+                args.append(self.expect("name").text)
+            self.expect(")")
+            return Atom(tok.text, tuple(args)), 1
+        if kind == "(":
+            self.pos += 1
             inner = self.formula()
             self.expect(")")
             return inner
-        if tok.kind == "bot":
-            self.next()
+        if kind == "~" or kind == "!":
+            self.pos += 1
+            sub, height = self.formula(_OPERAND)
+            return (Not if kind == "~" else Delta)(sub), height + 1
+        if kind == "forall" or kind == "exists":
+            self.pos += 1
+            return self._quantifier(tok)
+        if kind == "bot":
+            self.pos += 1
             return BOT, 1
-        if tok.kind == "name":
-            self.next()
-            if self.peek().kind == "(":
-                if self.kind == "prop":
-                    raise ParseError(
-                        "predicate atom in a propositional formula",
-                        tok.line,
-                        tok.column,
-                    )
-                self.next()
-                args = [self.expect("name").text]
-                while self.peek().kind == ",":
-                    self.next()
-                    args.append(self.expect("name").text)
-                self.expect(")")
-                return Atom(tok.text, tuple(args)), 1
-            return (Atom(tok.text, ()) if self.kind == "fo" else Var(tok.text)), 1
         raise self.fail(f"expected a formula, found {tok.text or 'end of input'!r}")
 
 

@@ -1,8 +1,16 @@
+import builtins
 import hashlib
+import json
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import mvlogic
 from mvlogic import (
     Chain,
     ChainLawError,
@@ -203,6 +211,96 @@ class TestCheckChain:
         assert not report.all_pass
         laws = {v.law for v in report.violations}
         assert laws & {"monotonicity", "residuation"}
+
+
+def _mutate(kind, table, rng):
+    """A copy of the star table broken in one way, drawn from rng."""
+    k = len(table)
+    rows = [list(r) for r in table]
+    if kind == "swap":
+        while True:
+            (a, b), (c, d) = rng.sample([(i, j) for i in range(k) for j in range(k)], 2)
+            if rows[a][b] != rows[c][d]:
+                break
+        rows[a][b], rows[c][d] = rows[c][d], rows[a][b]
+    elif kind == "monotonicity":
+        i, j = rng.choice([(i, j) for i in range(k) for j in range(k - 1)
+                           if rows[i][j + 1] < k - 1])
+        rows[i][j] = rng.randrange(rows[i][j + 1] + 1, k)
+    elif kind == "unit":
+        i = rng.randrange(k - 1)
+        v = rng.choice([v for v in range(k) if v != i])
+        rows[i][k - 1] = rows[k - 1][i] = v
+    elif kind == "associativity":
+        cells = [(i, j) for i in range(k - 1) for j in range(i, k - 1)]
+        while True:
+            rows = [list(r) for r in table]
+            i, j = rng.choice(cells)
+            v = rng.choice([v for v in range(k - 1) if v != rows[i][j]])
+            rows[i][j] = rows[j][i] = v
+            if any(rows[rows[a][b]][c] != rows[a][rows[b][c]]
+                   for a in range(k) for b in range(k) for c in range(k)):
+                break
+    return tuple(tuple(r) for r in rows)
+
+
+def _broken_chains():
+    """Five seeded mutations of each kind, on shipped chains of 3 to 6
+    elements (4 to 6 for associativity)."""
+    rng = random.Random(13)
+    chains = [c for c in shipped_chains(6) if c.size >= 3]
+    for kind in ("swap", "monotonicity", "unit", "associativity"):
+        pool = [c for c in chains if c.size >= 4] if kind == "associativity" else chains
+        for c in rng.sample(pool, 5):
+            yield kind, Chain(c.name, c.carrier, _mutate(kind, c.star_table, rng))
+
+
+class TestBrokenTables:
+    """check_chain reports and tolerant residua on broken tables, pinned
+    in chain_mutations.json: every violation, in order, and the whole
+    residuum table."""
+
+    RECORDED = json.loads((Path(__file__).parent / "chain_mutations.json").read_text())
+
+    def test_reports_and_residua_are_the_recorded_ones(self):
+        broken = list(_broken_chains())
+        assert len(broken) == len(self.RECORDED) == 20
+        for (kind, chain), rec in zip(broken, self.RECORDED):
+            assert (kind, chain.name) == (rec["mutation"], rec["chain"])
+            assert chain.star_table == tuple(map(tuple, rec["star"]))
+            violations = [[v.law, list(v.witness), v.detail]
+                          for v in check_chain(chain).violations]
+            assert violations == rec["violations"], (kind, chain.name)
+            assert chain.residuum_table == tuple(map(tuple, rec["residuum"]))
+            assert kind == "swap" or kind in {v[0] for v in violations}
+
+
+class TestHashConstructor:
+    def test_fresh_chains_hash_without_an_import(self, monkeypatch):
+        make_chain("godel", 3).table_hash()
+        fresh = [make_chain(f, n) for f in ("godel", "nm", "dp") for n in (3, 4)]
+        calls = []
+        real = builtins.__import__
+
+        def counting(name, *args, **kwargs):
+            calls.append(name)
+            return real(name, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "__import__", counting)
+        digests = [c.table_hash() for c in fresh]
+        monkeypatch.undo()
+        assert calls == []
+        assert digests == [hashlib.sha256(chain_to_text(c).encode()).hexdigest()
+                           for c in fresh]
+
+    def test_hashlib_stays_unloaded(self):
+        code = ("import sys, mvlogic; mvlogic.make_chain('godel', 3).table_hash(); "
+                "print('hashlib' in sys.modules)")
+        pythonpath = os.pathsep.join(
+            [str(Path(mvlogic.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])])
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": pythonpath})
+        assert result.stdout == "False\n", result.stderr
 
 
 class TestIdentities:

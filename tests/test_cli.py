@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import mvlogic
-from mvlogic import chain_to_text, delta_expand, make_chain, model_to_text, Model
+from mvlogic import Chain, chain_to_text, delta_expand, make_chain, model_to_text, Model
 from mvlogic.cli import main, run
 from mvlogic.suites import shipped_chains
 
@@ -227,6 +227,11 @@ class TestBadInputExits2:
             return str(path)
 
         l2 = make_chain("lukasiewicz", 2)
+        # nm(4) with star(1/3, 2/3) = 2/3, inline under its own hash.
+        nm4 = make_chain("nm", 4)
+        rows = [list(r) for r in nm4.star_table]
+        rows[1][2] = rows[2][1] = 2
+        broken = Chain("nm(4)", nm4.carrier, tuple(map(tuple, rows)))
         return {
             "luk2": luk2_file,
             "size0": write("s0.chain", "mtlchain 1\nsize 0\nlabels\ndelta 0\n"),
@@ -247,6 +252,10 @@ class TestBadInputExits2:
             "extradomain": write("xd.model", "mtlmodel 1\ndomain 1 5\npred P 1\n1 1/2\n"),
             "extracert": write("x.cert", FORGED_CERT.replace("1/3", "1/2")
                                .replace("1 1/2", "1 1/2 7").format(hash=l2.table_hash())),
+            "brokenlaw": write("b.cert", FORGED_CERT.replace("lukasiewicz(2)", "nm(4)")
+                               .replace("begin model", "begin chain\n" + chain_to_text(broken)
+                                        + "end chain\nbegin model")
+                               .format(hash=broken.table_hash())),
         }
 
     @pytest.mark.parametrize("argv", [
@@ -271,11 +280,12 @@ class TestBadInputExits2:
         ["eval", "--chain", "{luk2}", "--model", "{extrapred}", "--formula", "P(x)"],
         ["eval", "--chain", "{luk2}", "--model", "{extradomain}", "--formula", "P(x)"],
         ["verify", "--certificate", "{extracert}", "--chain", "{luk2}"],
+        ["verify", "--certificate", "{brokenlaw}"],
     ], ids=["max-size-0", "grid-0", "deep", "size-0", "label-5", "size-3-9",
             "trailing-garbage", "forged",
             "no-hash", "eval", "modelmap", "value-1/0", "negative-arity",
             "pred-twice", "extra-cell-token", "extra-pred-token",
-            "extra-domain-token", "extra-cert-token"])
+            "extra-domain-token", "extra-cert-token", "inline-chain-breaks-a-law"])
     def test_exit_2(self, files, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main_argv([arg.format(**files) for arg in argv])

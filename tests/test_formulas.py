@@ -26,7 +26,7 @@ from mvlogic import (
     universal_closure,
 )
 from mvlogic.corpus import random_formula, random_propositional
-from mvlogic.formulas import MAX_DEPTH
+from mvlogic.formulas import MAX_DEPTH, _tokenize
 
 
 class TestParse:
@@ -102,6 +102,79 @@ class TestParse:
     def test_prop_rejects_quantifier(self):
         with pytest.raises(ParseError):
             parse("forall x. P(x)", kind="prop")
+
+
+# Pinned token streams (kind, text, line, column), or the ParseError
+# (message, line, column), that _tokenize must reproduce exactly.
+# Only "\n" starts a line; every other whitespace character, "\r" and
+# "\u2028" included, is one column.  A name starts with a letter
+# (str.isalpha) or "_" and goes on with str.isalnum, "_" or "'", so
+# "²" and "Ⅷ", which are alphanumeric but no letters, cannot start one.
+TOKEN_TABLE = [
+    ("", [("eof", "", 1, 1)]),
+    ("p\t->\tq",
+     [("name", "p", 1, 1), ("->", "->", 1, 3), ("name", "q", 1, 6), ("eof", "", 1, 7)]),
+    ("p\r\n-> q",
+     [("name", "p", 1, 1), ("->", "->", 2, 1), ("name", "q", 2, 4), ("eof", "", 2, 5)]),
+    ("p\x0b-> q",
+     [("name", "p", 1, 1), ("->", "->", 1, 3), ("name", "q", 1, 6), ("eof", "", 1, 7)]),
+    ("p\u2028-> q",
+     [("name", "p", 1, 1), ("->", "->", 1, 3), ("name", "q", 1, 6), ("eof", "", 1, 7)]),
+    ("p\x1c& q\x0c",
+     [("name", "p", 1, 1), ("&", "&", 1, 3), ("name", "q", 1, 5), ("eof", "", 1, 7)]),
+    ("forall x.\n  P(x)\n\n  -> Q(x)",
+     [("forall", "forall", 1, 1), ("name", "x", 1, 8), (".", ".", 1, 9),
+      ("name", "P", 2, 3), ("(", "(", 2, 4), ("name", "x", 2, 5), (")", ")", 2, 6),
+      ("->", "->", 4, 3), ("name", "Q", 4, 6), ("(", "(", 4, 7), ("name", "x", 4, 8),
+      (")", ")", 4, 9), ("eof", "", 4, 10)]),
+    ("P(x)  \n  ",
+     [("name", "P", 1, 1), ("(", "(", 1, 2), ("name", "x", 1, 3), (")", ")", 1, 4),
+      ("eof", "", 2, 3)]),
+    ("\n\n", [("eof", "", 3, 1)]),
+    ("foo_bar1' & x_2'' /\\ _a",
+     [("name", "foo_bar1'", 1, 1), ("&", "&", 1, 11), ("name", "x_2''", 1, 13),
+      ("/\\", "/\\", 1, 19), ("name", "_a", 1, 22), ("eof", "", 1, 24)]),
+    ("é(x)",
+     [("name", "é", 1, 1), ("(", "(", 1, 2), ("name", "x", 1, 3), (")", ")", 1, 4),
+      ("eof", "", 1, 5)]),
+    ("P²(x)",
+     [("name", "P²", 1, 1), ("(", "(", 1, 3), ("name", "x", 1, 4), (")", ")", 1, 5),
+      ("eof", "", 1, 6)]),
+    ("x٣ <-> y",
+     [("name", "x٣", 1, 1), ("<->", "<->", 1, 4), ("name", "y", 1, 8), ("eof", "", 1, 9)]),
+    ("²", ("1:1: unexpected character '²'", 1, 1)),
+    ("Ⅷ(x)", ("1:1: unexpected character 'Ⅷ'", 1, 1)),
+    ("1p", ("1:1: unexpected character '1'", 1, 1)),
+    ("e\u0301(x)", ("1:2: unexpected character '\u0301'", 1, 2)),
+    ("P(x) <- Q(x)", ("1:6: unexpected character '<'", 1, 6)),
+    ("p $ q", ("1:3: unexpected character '$'", 1, 3)),
+    ("a- >b", ("1:2: unexpected character '-'", 1, 2)),
+    ("'p", ("1:1: unexpected character \"'\"", 1, 1)),
+    ("forallx & bottom",
+     [("name", "forallx", 1, 1), ("&", "&", 1, 9), ("name", "bottom", 1, 11),
+      ("eof", "", 1, 17)]),
+    ("forall x. exists y. bot",
+     [("forall", "forall", 1, 1), ("name", "x", 1, 8), (".", ".", 1, 9),
+      ("exists", "exists", 1, 11), ("name", "y", 1, 18), (".", ".", 1, 19),
+      ("bot", "bot", 1, 21), ("eof", "", 1, 24)]),
+    ("~!p\\/q<->(r->s),t.u",
+     [("~", "~", 1, 1), ("!", "!", 1, 2), ("name", "p", 1, 3), ("\\/", "\\/", 1, 4),
+      ("name", "q", 1, 6), ("<->", "<->", 1, 7), ("(", "(", 1, 10), ("name", "r", 1, 11),
+      ("->", "->", 1, 12), ("name", "s", 1, 14), (")", ")", 1, 15), (",", ",", 1, 16),
+      ("name", "t", 1, 17), (".", ".", 1, 18), ("name", "u", 1, 19), ("eof", "", 1, 20)]),
+]
+
+
+class TestTokenize:
+    @pytest.mark.parametrize("text, expected", TOKEN_TABLE, ids=[ascii(t) for t, _ in TOKEN_TABLE])
+    def test_recorded_stream(self, text, expected):
+        if isinstance(expected, list):
+            tokens = _tokenize(text)
+            assert [(t.kind, t.text, t.line, t.column) for t in tokens] == expected
+        else:
+            with pytest.raises(ParseError) as exc:
+                _tokenize(text)
+            assert (str(exc.value), exc.value.line, exc.value.column) == expected
 
 
 class TestPrettyRoundTrip:

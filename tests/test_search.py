@@ -5,13 +5,17 @@ import pytest
 
 from mvlogic import (
     CapExceededError,
+    Certificate,
     CertificateError,
+    Chain,
+    ChainLawError,
     InvalidParameterError,
     Model,
     MvlogicError,
     SignatureError,
     certificate_from_text,
     certificate_to_text,
+    chain_to_text,
     find_countermodel,
     lift_prop,
     make_chain,
@@ -85,6 +89,22 @@ class TestVerify:
             verify_certificate(forged)
         with pytest.raises(SignatureError):
             verify_certificate(certificate_from_text(certificate_to_text(forged)))
+
+    def test_inline_chain_breaking_a_law_is_rejected(self):
+        # star(1/3, 2/3) = 2/3 on nm(4): not monotone.  The hash is the
+        # broken chain's own, so only the law check can reject it; on
+        # that chain the model would be a real countermodel.
+        nm4 = make_chain("nm", 4)
+        rows = [list(r) for r in nm4.star_table]
+        rows[1][2] = rows[2][1] = 2
+        bad = Chain("nm(4)", nm4.carrier, tuple(map(tuple, rows)))
+        cert = Certificate("nm(4)", bad.table_hash(), "(forall x. P(x))",
+                           Model.from_dict(1, {"P": {(1,): F(1, 3)}}), {}, F(1, 3),
+                           chain_to_text(bad))
+        with pytest.raises(ChainLawError):
+            verify_certificate(cert)
+        with pytest.raises(ChainLawError):
+            verify_certificate(certificate_from_text(certificate_to_text(cert)))
 
     def test_no_hash_needs_rational_chain(self):
         cert = find_countermodel(L2, LEM, 1)
