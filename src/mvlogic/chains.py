@@ -474,6 +474,8 @@ IDENTITIES: dict[str, formulas.Formula] = {
 
 def _power(phi: formulas.Formula, n: int) -> formulas.Formula:
     """phi & ... & phi, n times (n >= 1)."""
+    if n < 1:
+        raise InvalidParameterError(f"a power needs n >= 1, got {n}")
     out = phi
     for _ in range(n - 1):
         out = formulas.StrongAnd(out, phi)

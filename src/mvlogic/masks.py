@@ -16,10 +16,10 @@ family, whose carrier is infinite, is scanned through grid_tables: the
 family's operations tabulated on the finitely many values the formula
 can reach from the grid.
 
-A scan walks the rank space in aligned chunks whose size is a power of
-the radix.  The first chunk holds about 2^10 ranks, so an early
-refutation stays cheap; later chunks grow up to about 2^22 ranks, or
-less when the masks alive at once would exceed MASK_BUDGET_BITS.
+Every scan is one loop, Space.scan, over aligned chunks of ranks whose
+size is a power of the radix.  The first chunk holds about 2^10 ranks,
+so an early refutation stays cheap; later chunks grow up to about 2^22
+ranks, or less when the masks alive at once would exceed MASK_BUDGET_BITS.
 """
 
 from __future__ import annotations
@@ -101,9 +101,10 @@ class Space:
             tables[pred][args] = values[d]
         return Model(self.n, tables)
 
-    def chunks(self, *programs: "Program") -> Iterator["Chunk"]:
-        """Aligned chunks covering the ranks in order; a chunk grows by
-        the radix once the ranks scanned so far are a multiple of it."""
+    def scan(self, *programs: "Program") -> Iterator[tuple["Chunk", list[list[int]]]]:
+        """Aligned chunks covering the ranks in order, each with the masks
+        of every program over it; a chunk grows by the radix once the
+        ranks scanned so far are a multiple of it."""
         radix = self.radix
         live = sum(p.live_bits for p in programs) or 1
         limit = min(MAX_CHUNK_BITS, max(1, MASK_BUDGET_BITS // live))
@@ -112,7 +113,8 @@ class Space:
             size *= radix
         start = 0
         while start < self.size:
-            yield Chunk(self, start, size)
+            chunk = Chunk(self, start, size)
+            yield chunk, [p.run(chunk) for p in programs]
             start += size
             if start % (size * radix) == 0 and size * radix <= limit:
                 size *= radix
@@ -440,27 +442,11 @@ def _free_variables(phi: Formula) -> dict[int, tuple[str, ...]]:
     return out
 
 
-def first_failure(
-    chain: Chain | GridTables, phi: Formula, sig: dict[str, int], n: int, values: tuple
-) -> tuple[Model, int] | None:
-    """The canonically first model of sig over {1..n}, cells drawn from
-    values, on which the closed phi is not 1, with the carrier index of
-    its value; None if there is none."""
-    space = Space(sig, n, len(values))
-    if values is chain.carrier:
-        leaf = tuple(range(chain.size))
-    else:
-        leaf = tuple(map(chain.index, values))
-    found = first_rank(space, Program(chain, phi, space, leaf))
-    return found and (space.model(found[0], values), found[1])
-
-
 def first_rank(space: Space, program: Program) -> tuple[int, int] | None:
     """The first rank at which the program's value is not the top
     index, with that value; None if there is none."""
     top = program.k - 1
-    for chunk in space.chunks(program):
-        masks = program.run(chunk)
+    for chunk, (masks,) in space.scan(program):
         bad = chunk.full ^ masks[top]
         if bad:
             low = next(ranks(bad))

@@ -80,10 +80,15 @@ def _first_countermodel(
                 if val != chain.top:
                     return model, val
         return None
+    # Digit d of a cell is the value values[d], at carrier index leaf[d].
+    full = values is tables.carrier
+    leaf = tuple(range(len(values))) if full else tuple(map(tables.index, values))
     for n in range(1, max_size + 1):
-        found = masks.first_failure(tables, closed, sig, n, values)
+        space = masks.Space(sig, n, len(values))
+        found = masks.first_rank(space, masks.Program(tables, closed, space, leaf))
         if found is not None:
-            model, index = found
+            rank, index = found
+            model = space.model(rank, values)
             val = eval_fo(chain, model, {}, closed)
             if val != tables.carrier[index]:
                 raise AssertionError(
@@ -224,6 +229,7 @@ def certificate_from_text(text: str) -> Certificate:
     model = None
     valuation: dict[str, int] = {}
     value = None
+    seen: set[str] = set()
     i = 1
     try:
         while i < len(lines):
@@ -231,25 +237,31 @@ def certificate_from_text(text: str) -> Certificate:
             i += 1
             if not line:
                 continue
-            if line.startswith("chain "):
+            key, _, rest = line.partition(" ")
+            if key == "begin":
+                key = line
+            if key in seen:
+                raise FormatError(f"certificate repeats {key!r}")
+            seen.add(key)
+            if key == "chain":
                 # The name may hold spaces; the hash never does.
-                chain_name, chain_hash = line[len("chain "):].rsplit(None, 1)
-            elif line.startswith("formula "):
-                formula_text = line[len("formula "):]
-            elif line == "begin chain":
-                j = lines.index("end chain", i)
-                chain_text = "\n".join(lines[i:j]) + "\n"
+                chain_name, chain_hash = rest.rsplit(None, 1)
+            elif key == "formula" and rest:
+                formula_text = rest
+            elif key == "begin chain" or key == "begin model":
+                j = lines.index("end " + rest, i)
+                body = "\n".join(lines[i:j]) + "\n"
                 i = j + 1
-            elif line == "begin model":
-                j = lines.index("end model", i)
-                model = model_from_text("\n".join(lines[i:j]) + "\n")
-                i = j + 1
-            elif line.startswith("valuation"):
-                for pair in line.split()[1:]:
+                if rest == "chain":
+                    chain_text = body
+                else:
+                    model = model_from_text(body)
+            elif key == "valuation":
+                for pair in rest.split():
                     k, v = pair.split("=")
                     valuation[k] = int(v)
-            elif line.startswith("value "):
-                value = Fraction(line.split()[1])
+            elif key == "value" and len(rest.split()) == 1:
+                value = Fraction(rest)
             else:
                 raise FormatError(f"unexpected line {line!r}")
     except (ValueError, IndexError, ZeroDivisionError) as exc:

@@ -172,8 +172,8 @@ def _model_scan(chain: Chain, closed: Formula, max_n: int, terms, judge, case) -
             masks.Program(c, phi, space, identity if leaf is None else leaf)
             for c, phi, leaf in terms
         ]
-        for chunk in space.chunks(*programs):
-            active, good = judge(chunk.full, *(p.run(chunk) for p in programs))
+        for chunk, term_masks in space.scan(*programs):
+            active, good = judge(chunk.full, *term_masks)
             failures = []
             for rank in masks.ranks(active & ~good):
                 ok, message = case(space.model(chunk.start + rank, chain.carrier))

@@ -30,6 +30,7 @@ from mvlogic import (
     negation_profile,
     ordinal_sum,
     parse,
+    pretty,
     satisfies_identity,
     subchains,
     trivial_chain,
@@ -332,8 +333,23 @@ class TestIdentities:
         # Goedel chains with at most n elements.
         assert satisfies_identity(make_chain("godel", 3), gn_schema(3))
         assert not satisfies_identity(make_chain("godel", 4), gn_schema(3))
-        assert isinstance(cn_schema(3), object)
-        assert isinstance(dnm_schema(3, 2), object)
+        # L_k satisfies c_n iff n >= k.
+        for k in range(1, 5):
+            for n in range(1, 5):
+                assert satisfies_identity(make_chain("lukasiewicz", k), cn_schema(n)) == (n >= k)
+        assert all(satisfies_identity(make_chain("godel", 4), cn_schema(n)) for n in (1, 2, 3))
+        nm4 = make_chain("nm", 4)
+        assert [satisfies_identity(nm4, cn_schema(n)) for n in (1, 2, 3)] == [False, True, True]
+        assert pretty(dnm_schema(2, 2)) == (
+            "(((p <-> (p -> (p & p))) & (p <-> (p -> (p & p)))) -> (p & p))"
+        )
+
+    @pytest.mark.parametrize("schema", [
+        lambda: gn_schema(0), lambda: cn_schema(0), lambda: dnm_schema(0, 2),
+    ], ids=["gn0", "cn0", "dnm0"])
+    def test_schemata_need_n_at_least_1(self, schema):
+        with pytest.raises(InvalidParameterError):
+            schema()
 
     def test_delta_schemata(self):
         c = delta_expand(make_chain("lukasiewicz", 4))

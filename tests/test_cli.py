@@ -232,6 +232,10 @@ class TestBadInputExits2:
         rows = [list(r) for r in nm4.star_table]
         rows[1][2] = rows[2][1] = 2
         broken = Chain("nm(4)", nm4.carrier, tuple(map(tuple, rows)))
+        # A certificate that verifies, and the inline copy of its chain.
+        good = FORGED_CERT.replace("1/3", "1/2").format(hash=l2.table_hash())
+        inline = "begin chain\n" + chain_to_text(l2) + "end chain\n"
+        model = good[good.index("begin model"):good.index("valuation")]
         return {
             "luk2": luk2_file,
             "size0": write("s0.chain", "mtlchain 1\nsize 0\nlabels\ndelta 0\n"),
@@ -256,6 +260,15 @@ class TestBadInputExits2:
                                .replace("begin model", "begin chain\n" + chain_to_text(broken)
                                         + "end chain\nbegin model")
                                .format(hash=broken.table_hash())),
+            "valuejunk": write("vj.cert", good.replace("value 1/2", "value 1/2 junk")),
+            "twovalues": write("tv.cert", good + "value 1/2\n"),
+            "twoformulas": write("tf.cert", good + "formula (forall x. P(x))\n"),
+            "twovaluations": write("tva.cert", good + "valuation\n"),
+            "twochainlines": write("tc.cert", good + f"chain lukasiewicz(2) {l2.table_hash()}\n"),
+            "twomodels": write("tm.cert", good + model),
+            "twoinline": write("ti.cert", good.replace("begin model", inline + inline
+                                                       + "begin model")),
+            "valuations": write("vs.cert", good.replace("valuation\n", "valuations\n")),
         }
 
     @pytest.mark.parametrize("argv", [
@@ -281,11 +294,21 @@ class TestBadInputExits2:
         ["eval", "--chain", "{luk2}", "--model", "{extradomain}", "--formula", "P(x)"],
         ["verify", "--certificate", "{extracert}", "--chain", "{luk2}"],
         ["verify", "--certificate", "{brokenlaw}"],
+        ["verify", "--certificate", "{valuejunk}", "--chain", "{luk2}"],
+        ["verify", "--certificate", "{twovalues}", "--chain", "{luk2}"],
+        ["verify", "--certificate", "{twoformulas}", "--chain", "{luk2}"],
+        ["verify", "--certificate", "{twovaluations}", "--chain", "{luk2}"],
+        ["verify", "--certificate", "{twochainlines}", "--chain", "{luk2}"],
+        ["verify", "--certificate", "{twomodels}", "--chain", "{luk2}"],
+        ["verify", "--certificate", "{twoinline}"],
+        ["verify", "--certificate", "{valuations}", "--chain", "{luk2}"],
     ], ids=["max-size-0", "grid-0", "deep", "size-0", "label-5", "size-3-9",
             "trailing-garbage", "forged",
             "no-hash", "eval", "modelmap", "value-1/0", "negative-arity",
             "pred-twice", "extra-cell-token", "extra-pred-token",
-            "extra-domain-token", "extra-cert-token", "inline-chain-breaks-a-law"])
+            "extra-domain-token", "extra-cert-token", "inline-chain-breaks-a-law",
+            "extra-value-token", "second-value", "second-formula", "second-valuation",
+            "second-chain-line", "second-model", "second-inline-chain", "valuations"])
     def test_exit_2(self, files, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main_argv([arg.format(**files) for arg in argv])

@@ -39,6 +39,8 @@ from mvlogic import (
     make_wnm_chain,
     parse,
     signature_of,
+    taut_upto_direct,
+    taut_upto_grounded,
     universal_closure,
 )
 from mvlogic import masks
@@ -58,7 +60,7 @@ from mvlogic.formulas import (
     Var,
     prop_variables,
 )
-from mvlogic.suites import Batch, _model_scan
+from mvlogic.suites import SUITES, Batch, _model_scan
 
 # Predicate names with "_", digits and "'", of arities 0, 1 and 2.
 PREDICATES = {"B0": 0, "P": 1, "q_1": 1, "R2'": 2}
@@ -169,16 +171,27 @@ def test_mask_value_is_eval_fo_at_every_rank(chain, phi, n, bits):
     program = masks.Program(chain, closed, space, identity)
     scanned = 0
     with _small_chunks(bits):
-        for chunk in space.chunks(program):
+        for chunk, (values,) in space.scan(program):
             assert chunk.start == scanned
             scanned += chunk.size
-            values = program.run(chunk)
             for offset in range(chunk.size):
                 rank = chunk.start + offset
                 assert space.model(rank, chain.carrier) == models[rank]
                 indices = [v for v, mask in enumerate(values) if mask >> offset & 1]
                 assert indices == [chain.index(expected[rank])]
     assert scanned == len(models) == space.size
+
+
+def _fraction_loop(chain, closed, max_size, values):
+    """The model-by-model scan that the engine replaced: the first
+    countermodel over domains 1..max_size, with its value."""
+    sig = signature_of(closed)
+    for n in range(1, max_size + 1):
+        for model in enumerate_models(sig, n, values):
+            value = eval_fo(chain, model, {}, closed)
+            if value != chain.top:
+                return model, value
+    return None
 
 
 @PROPERTY
@@ -194,29 +207,18 @@ def test_first_failure_is_the_first_failing_model(chain, phi, n, bits, data):
         )
     )
     closed, sig = _closed_case(chain, phi, n)
-    assume(count_models(sig, n, values) <= MAX_MODELS)
-    models = list(enumerate_models(sig, n, values))
+    assume(sum(count_models(sig, m, values) for m in range(1, n + 1)) <= MAX_MODELS)
     try:
-        oracle = next(
-            (
-                (rank, value)
-                for rank, model in enumerate(models)
-                if (value := eval_fo(chain, model, {}, closed)) != chain.top
-            ),
-            None,
-        )
+        oracle = _fraction_loop(chain, closed, n, values)
     except MvlogicError as exc:
-        _same_error(exc, lambda: masks.first_failure(chain, closed, sig, n, values))
+        _same_error(exc, lambda: find_countermodel(chain, closed, n, values))
         return
     with _small_chunks(bits):
-        found = masks.first_failure(chain, closed, sig, n, values)
+        cert = find_countermodel(chain, closed, n, values)
     if oracle is None:
-        assert found is None
+        assert cert is None
     else:
-        rank, value = oracle
-        model, index = found
-        assert model == models[rank]
-        assert chain.carrier[index] == value
+        assert (cert.model, cert.value) == oracle
 
 
 RATIONAL = [
@@ -229,17 +231,6 @@ GRIDS = [
     (F(2, 3), F(1, 3), F(2, 3), F(1, 2)),  # a duplicate, and neither 0 nor 1
     (F(1, 4),),
 ]
-
-
-def _fraction_loop(chain, closed, max_size, values):
-    """The model-by-model scan that the grid engine replaced."""
-    sig = signature_of(closed)
-    for n in range(1, max_size + 1):
-        for model in enumerate_models(sig, n, values):
-            value = eval_fo(chain, model, {}, closed)
-            if value != chain.top:
-                return model, value
-    return None
 
 
 @PROPERTY
@@ -319,22 +310,22 @@ def test_no_atoms_one_model_per_size(chain, text):
         (model,) = enumerate_models({}, n, chain.carrier)
         assert space.model(0, chain.carrier) == model
         try:
-            value = eval_fo(chain, model, {}, phi)
+            oracle = _fraction_loop(chain, phi, n, chain.carrier)
         except UnsupportedChainError as exc:
-            _same_error(exc, lambda: masks.first_failure(chain, phi, {}, n, chain.carrier))
+            _same_error(exc, lambda: find_countermodel(chain, phi, n))
             continue
-        found = masks.first_failure(chain, phi, {}, n, chain.carrier)
-        if value == chain.top:
-            assert found is None
+        cert = find_countermodel(chain, phi, n)
+        if oracle is None:
+            assert cert is None
         else:
-            assert found == (model, chain.index(value))
+            assert (cert.model, cert.value) == oracle
 
 
 class TestChunks:
     def test_aligned_powers_of_the_radix(self):
         space = masks.Space({"P": 1, "Q": 2}, 2, 3)  # 3^6 = 729 ranks
         with mock.patch.multiple(masks, FIRST_CHUNK_BITS=9, MAX_CHUNK_BITS=81):
-            sizes = [(c.start, c.size) for c in space.chunks()]
+            sizes = [(c.start, c.size) for c, _ in space.scan()]
         assert sizes[:4] == [(0, 9), (9, 9), (18, 9), (27, 27)]
         assert max(size for _, size in sizes) == 81
         assert all(start % size == 0 for start, size in sizes)
@@ -344,7 +335,7 @@ class TestChunks:
         space = masks.Space({"P": 1}, 12, 2)
         program = masks.Program(make_chain("boolean"), parse("forall x. P(x)"), space, (0, 1))
         with mock.patch.object(masks, "MASK_BUDGET_BITS", 64 * program.live_bits):
-            assert max(c.size for c in space.chunks(program)) == 64
+            assert max(c.size for c, _ in space.scan(program)) == 64
 
     def test_cap_is_checked_upfront(self, monkeypatch):
         monkeypatch.setenv("MVLOGIC_ENUM_CAP", "8")
@@ -352,9 +343,62 @@ class TestChunks:
             masks.Space({"P": 1}, 2, 3)
 
 
+def test_every_scan_runs_programs_inside_space_scan():
+    """Space.scan is the one loop that runs a Program: each run happens
+    while scan computes a chunk's masks, never in a caller's loop."""
+    scan, run = masks.Space.scan, masks.Program.run
+    inside, runs = [False], [0]
+
+    def guarded_scan(space, *programs):
+        chunks = scan(space, *programs)
+        while True:
+            inside[0] = True
+            try:
+                item = next(chunks)
+            except StopIteration:
+                return
+            finally:
+                inside[0] = False
+            yield item
+
+    def guarded_run(program, chunk):
+        assert inside[0], "Program.run called outside Space.scan"
+        runs[0] += 1
+        return run(program, chunk)
+
+    scans = {
+        "is_taut_prop": lambda: is_taut_prop(make_chain("nm", 4), parse("p -> ~~p", kind="prop")),
+        "finite chain": lambda: find_countermodel(make_chain("godel", 3), parse("P(x) \\/ ~P(x)"), 2),
+        "product grid": lambda: find_countermodel(
+            make_rational_chain("product"), parse("P(x) -> (P(x) & P(x))"), 2, GRIDS[0]
+        ),
+        "fo-axioms": lambda: SUITES["fo-axioms"](max_n=1, max_chain_size=3),
+        "lemma-gc": lambda: SUITES["lemma-gc"](max_n=1),
+    }
+    with mock.patch.object(masks.Space, "scan", guarded_scan), \
+            mock.patch.object(masks.Program, "run", guarded_run):
+        for name, action in scans.items():
+            before = runs[0]
+            action()
+            assert runs[0] > before, name
+
+
 def test_delta_error_of_the_direct_checker():
     with pytest.raises(UnsupportedChainError, match=r"chain lukasiewicz\(2\) has no delta"):
         find_countermodel(make_chain("lukasiewicz", 2), parse("forall x. !P(x)"), 2)
+
+
+def test_error_order_of_the_two_checkers(monkeypatch):
+    """The direct checker builds each size's Space, which checks the cap,
+    before its Program; the grounded checker builds its Program, which
+    finds the missing delta, before it checks the cap."""
+    monkeypatch.setenv("MVLOGIC_ENUM_CAP", "2")
+    chain, phi = make_chain("lukasiewicz", 3), parse("forall x. !P(x)")
+    for direct in (find_countermodel, taut_upto_direct):
+        with pytest.raises(CapExceededError, match="^4 models exceed the enumeration cap 2$"):
+            direct(chain, phi, 2)
+    with pytest.raises(UnsupportedChainError, match=r"chain lukasiewicz\(3\) has no delta"):
+        taut_upto_grounded(chain, phi, 2)
 
 
 def test_suite_scan_reports_failing_ranks_in_order():
