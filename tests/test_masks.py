@@ -25,6 +25,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from mvlogic import (
     CapExceededError,
     InvalidNegationError,
+    Model,
     MvlogicError,
     UnsupportedChainError,
     count_models,
@@ -45,6 +46,7 @@ from mvlogic import (
 )
 from mvlogic import masks
 from mvlogic.chains import trivial_chain
+from mvlogic.corpus import fixed_corpus
 from mvlogic.formulas import (
     And,
     Atom,
@@ -60,7 +62,8 @@ from mvlogic.formulas import (
     Var,
     prop_variables,
 )
-from mvlogic.suites import SUITES, Batch, _model_scan
+from mvlogic import grounding, suites
+from mvlogic.suites import SUITES, Batch, _coding_cases, _model_scan
 
 # Predicate names with "_", digits and "'", of arities 0, 1 and 2.
 PREDICATES = {"B0": 0, "P": 1, "q_1": 1, "R2'": 2}
@@ -180,6 +183,22 @@ def test_mask_value_is_eval_fo_at_every_rank(chain, phi, n, bits):
                 indices = [v for v, mask in enumerate(values) if mask >> offset & 1]
                 assert indices == [chain.index(expected[rank])]
     assert scanned == len(models) == space.size
+
+
+def _product_models(sig, n, values):
+    """The models of sig over {1..n} with cells from values, in the
+    canonical order, by an itertools.product over the cells: the loop
+    that enumerate_models ran before it decoded ranks."""
+    cells = [
+        (pred, args)
+        for pred in sorted(sig)
+        for args in itertools.product(range(1, n + 1), repeat=sig[pred])
+    ]
+    for row in itertools.product(values, repeat=len(cells)):
+        tables = {pred: {} for pred in sorted(sig)}
+        for (pred, args), value in zip(cells, row):
+            tables[pred][args] = value
+        yield Model(n, tables)
 
 
 def _fraction_loop(chain, closed, max_size, values):
@@ -425,3 +444,35 @@ def test_suite_scan_reports_failing_ranks_in_order():
     ]
     assert failures == expected
     assert failures[:2] == ["0 at [Fraction(0, 1)]", "1/2 at [Fraction(1, 2)]"]
+
+
+def test_lemma_tr_reports_a_planted_grounding_fault():
+    """With exists grounded as forall, lemma-tr reports the failures,
+    and the messages, of the model-by-model loop it replaced.  At n = 1
+    a quantifier grounds to its one instance, so the fault shows only
+    from n = 2 on; the three chains of at most 3 elements keep the
+    oracle loop short."""
+    ground_node = grounding._ground
+
+    def exists_as_forall(phi, n, env, legend):
+        if type(phi) is Exists:
+            phi = Forall(phi.var, phi.body)
+        return ground_node(phi, n, env, legend)
+
+    chains = [c for c in suites._lemma_tr_chains() if c.size <= 3]
+    with mock.patch.object(grounding, "_ground", exists_as_forall), \
+            mock.patch.object(suites, "_lemma_tr_chains", lambda: chains):
+        for exhaustive_n, failing in ((1, 0), (2, 464)):
+            report = SUITES["lemma-tr"](trials=0, exhaustive_n=exhaustive_n)
+            oracle = [
+                case
+                for chain in chains
+                for phi in fixed_corpus()
+                for n in range(1, exhaustive_n + 1)
+                for case in _coding_cases(
+                    chain, phi, n, _product_models(signature_of(phi), n, chain.carrier)
+                )
+            ]
+            assert report.cases == len(oracle)
+            assert report.failures == [message for ok, message in oracle if not ok]
+            assert len(report.failures) == failing
