@@ -2,19 +2,19 @@
 finite model space at once: the engine of the exhaustive scans of
 models and of propositional assignments.
 
-The models of a signature over domain {1..n} whose cells take one of
-`radix` digits are ranked in the canonical order of `enumerate_models`:
-cell 0 is the most significant digit, the last cell varies fastest.  A
-formula node over a finite chain of k elements is k Python ints, its
-masks: bit r of mask v is set iff the node takes carrier index v on the
-model of rank r.  Connectives combine masks with & and |, which run in
-C, so no Fraction and no Python-level loop touches a model; Fractions
-appear only when a rank is decoded back into a Model.  A propositional
-formula is evaluated the same way over a space whose cells are its
-variables: a Var reads its cell as an Atom does.  A grid of a rational
-family, whose carrier is infinite, is scanned through grid_tables: the
-family's operations tabulated on the finitely many values the formula
-can reach from the grid.
+Space owns the canonical order of the models of a signature over
+{1..n} with `radix` digits a cell: cells by predicate name, then
+argument tuple in lexicographic order, cell 0 the rank's most
+significant digit.  A formula node over a finite chain of k elements is
+k Python ints, its masks: bit r of mask v is set iff the node takes
+carrier index v on the model of rank r.  Connectives combine masks with
+& and |, which run in C, so no Fraction and no Python-level loop
+touches a model; Fractions appear only when a rank is decoded back into
+a Model.  A propositional formula is evaluated the same way over a
+space whose cells are its variables: a Var reads its cell as an Atom
+does.  A grid of a rational family, whose carrier is infinite, is
+scanned through grid_tables: the family's operations tabulated on the
+values the formula can reach from the grid.
 
 Every scan is one loop, Space.scan, over aligned chunks of ranks whose
 size is a power of the radix.  The first chunk holds about 2^10 ranks,
@@ -24,10 +24,11 @@ ranks, or less when the masks alive at once would exceed MASK_BUDGET_BITS.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterator
 
 from .chains import ONE, ZERO, Chain, RationalFamilyChain
-from .errors import EvaluationError, UnsupportedChainError
+from .errors import EvaluationError, InvalidParameterError, UnsupportedChainError
 from .formulas import (
     And,
     Atom,
@@ -43,7 +44,7 @@ from .formulas import (
     StrongAnd,
     Var,
 )
-from .semantics import Model, model_cells
+from .semantics import Model, check_cap
 
 FIRST_CHUNK_BITS = 1 << 10
 MAX_CHUNK_BITS = 1 << 22
@@ -60,13 +61,18 @@ def ranks(mask: int) -> Iterator[int]:
 
 
 class Space:
-    """The models of sig over {1..n} whose cells take `radix` digits.
-    Raises upfront, as enumerate_models does, on an empty digit set, a
-    domain below 1 or a model count above the enumeration cap."""
+    """The models of sig over {1..n} with `radix` digits a cell, in the
+    canonical order; raises upfront on no digits, n < 1 or over the cap."""
 
     def __init__(self, sig: dict[str, int], n: int, radix: int):
-        self._index(model_cells(sig, n, radix), n, radix)
+        if radix < 1:
+            raise InvalidParameterError("value set must be nonempty")
+        if n < 1:
+            raise InvalidParameterError("domain size must be >= 1")
         self.preds = sorted(sig)
+        domain = range(1, n + 1)
+        self._index([(p, a) for p in self.preds for a in product(domain, repeat=sig[p])], n, radix)
+        check_cap(self.size, "models")
 
     @classmethod
     def of_variables(cls, names: list[str], radix: int) -> "Space":
@@ -87,18 +93,16 @@ class Space:
 
     def digits(self, rank: int) -> list[int]:
         """The digits of the given rank, cell 0 first."""
-        out = []
-        for _ in self.cells:
-            rank, d = divmod(rank, self.radix)
-            out.append(d)
-        out.reverse()
-        return out
+        radix = self.radix
+        return [rank // radix**i % radix for i in range(len(self.cells) - 1, -1, -1)]
 
     def model(self, rank: int, values) -> Model:
         """The model of the given rank, digit d read as values[d]."""
         tables = {pred: {} for pred in self.preds}
-        for (pred, args), d in zip(self.cells, self.digits(rank)):
-            tables[pred][args] = values[d]
+        place = self.size
+        for pred, args in self.cells:
+            place //= self.radix
+            tables[pred][args] = values[rank // place % self.radix]
         return Model(self.n, tables)
 
     def scan(self, *programs: "Program") -> Iterator[tuple["Chunk", list[list[int]]]]:
@@ -261,8 +265,7 @@ class Program:
             elif op == "min" or op == "max":
                 out = _fold([regs[a] for a in args], op == "min", k, full)
             elif op == "bottom":
-                out = [0] * k
-                out[0] = full
+                out = [full] + [0] * (k - 1)
             elif len(args) == 1:  # neg, delta: index v becomes table[v]
                 out = [0] * k
                 table = self.tables[op]
@@ -329,10 +332,7 @@ class GridTables:
         self.carrier = carrier
         self.size = len(carrier)
         self.operation_tables = operation_tables
-        self._index = {v: i for i, v in enumerate(carrier)}
-
-    def index(self, x) -> int:
-        return self._index[x]
+        self.index = {v: i for i, v in enumerate(carrier)}.__getitem__
 
 
 class _CapPassed(Exception):
@@ -445,9 +445,8 @@ def _free_variables(phi: Formula) -> dict[int, tuple[str, ...]]:
 def first_rank(space: Space, program: Program) -> tuple[int, int] | None:
     """The first rank at which the program's value is not the top
     index, with that value; None if there is none."""
-    top = program.k - 1
     for chunk, (masks,) in space.scan(program):
-        bad = chunk.full ^ masks[top]
+        bad = chunk.full ^ masks[-1]
         if bad:
             low = next(ranks(bad))
             value = next(v for v, mask in enumerate(masks) if mask >> low & 1)

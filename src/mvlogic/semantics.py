@@ -2,9 +2,9 @@
 propositional tautology check over finite chains.
 
 Quantifiers are evaluated with min/max over the (always finite) domain
-{1..n}.  Model enumeration follows a documented canonical order:
-predicates sorted by name, cells in lexicographic tuple order, and the
-value of the last cell varying fastest through the value set.
+{1..n}.  The canonical order of models and of assignments is owned by
+masks.Space, which ranks them; enumerate_models and is_taut_prop's
+witness decode those ranks.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .errors import (
     CapExceededError,
     EvaluationError,
     FormatError,
-    InvalidParameterError,
     SignatureError,
 )
 from .formulas import (
@@ -42,10 +41,6 @@ from .formulas import (
 
 ENUM_CAP_ENV = "MVLOGIC_ENUM_CAP"
 DEFAULT_ENUM_CAP = 20_000_000
-
-
-def enumeration_cap() -> int:
-    return int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
 
 
 @dataclass(frozen=True)
@@ -227,7 +222,7 @@ def is_taut_prop(
     c = require_finite(chain)
     space = masks.Space.of_variables(sorted(prop_variables(phi)), c.size)
     program = masks.Program(c, phi, space, tuple(range(c.size)))
-    _check_cap(space.size, "assignments")
+    check_cap(space.size, "assignments")
     found = masks.first_rank(space, program)
     if found is None:
         return True, None
@@ -238,31 +233,13 @@ def is_taut_prop(
 # Model enumeration
 
 
-def _check_cap(total: int, what: str) -> None:
+def check_cap(total: int, what: str) -> None:
     """The one cap check of the exhaustive scans of assignments and
     models: raises CapExceededError upfront if a scan of `total` points
     exceeds the cap (MVLOGIC_ENUM_CAP, default 20e6)."""
-    cap = enumeration_cap()
+    cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
     if total > cap:
         raise CapExceededError(f"{total} {what} exceed the enumeration cap {cap}")
-
-
-def model_cells(sig: dict[str, int], n: int, radix: int) -> list[tuple[str, tuple[int, ...]]]:
-    """The cells of a model of sig over {1..n} in canonical order:
-    predicates sorted by name, argument tuples in lexicographic order.
-    Raises upfront on an empty value set, a domain below 1 or more than
-    the cap's count of models with `radix` values per cell."""
-    if radix < 1:
-        raise InvalidParameterError("value set must be nonempty")
-    if n < 1:
-        raise InvalidParameterError("domain size must be >= 1")
-    cells = [
-        (pred, args)
-        for pred in sorted(sig)
-        for args in itertools.product(range(1, n + 1), repeat=sig[pred])
-    ]
-    _check_cap(radix ** len(cells), "models")
-    return cells
 
 
 def count_models(sig: dict[str, int], n: int, values) -> int:
@@ -276,19 +253,18 @@ def enumerate_models(
     values: Iterable[Fraction],
 ) -> Iterator[Model]:
     """All models over domain {1..n} with table values drawn from
-    `values`, in canonical order.
+    `values`, in the canonical order of masks.Space.
 
-    Raises CapExceededError upfront if the model count exceeds the cap
+    Raises at the first next(), before any model, on an empty value
+    set, a domain below 1 or a model count above the cap
     (MVLOGIC_ENUM_CAP, default 20e6).
     """
+    from . import masks
+
     values = tuple(values)
-    cells = model_cells(sig, n, len(values))
-    preds = sorted(sig)
-    for choice in itertools.product(values, repeat=len(cells)):
-        tables: dict[str, dict[tuple[int, ...], Fraction]] = {p: {} for p in preds}
-        for (pred, args), val in zip(cells, choice):
-            tables[pred][args] = val
-        yield Model(n, tables)  # cells are generated in canonical order
+    space = masks.Space(sig, n, len(values))
+    for rank in range(space.size):
+        yield space.model(rank, values)
 
 
 # ---------------------------------------------------------------------------

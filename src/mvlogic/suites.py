@@ -40,7 +40,7 @@ from .formulas import (
     subformulas,
     universal_closure,
 )
-from .grounding import ground, induced_assignment, taut_upto_grounded
+from .grounding import cell_variable, ground, induced_assignment, taut_upto_grounded
 from .reductions import (
     boolean_collapse,
     collapse_leaf,
@@ -52,7 +52,7 @@ from .reductions import (
     wnm_star,
 )
 from .search import find_countermodel, lift_prop, taut_upto_direct, verify_certificate
-from .semantics import Model, enumerate_models, eval_fo, eval_prop, is_taut_prop, model_cells
+from .semantics import Model, eval_fo, eval_prop, is_taut_prop
 
 
 class Batch(NamedTuple):
@@ -158,17 +158,18 @@ def _model_scan(chain: Chain, closed: Formula, max_n: int, terms, judge, case) -
     over {1..n}, n <= max_n, with values from chain's carrier.
 
     Each term (term chain, formula, leaf map or None for the identity)
-    is evaluated by the mask engine; judge(full, *term masks) gives the
-    ranks that are cases and the ranks that pass.  Only a failing rank
-    is decoded to a Model, and case(model) gives its (ok, message) with
-    eval_fo, which must agree that it fails."""
+    is evaluated by the mask engine; terms may instead be a function
+    that gives the Programs for each model space.  judge(full, *term
+    masks) gives the ranks that are cases and the ranks that pass.
+    Only a failing rank is decoded to a Model, and case(model) gives its
+    (ok, message) with eval_fo, which must agree that it fails."""
     from . import masks  # imported by the first scan, as in search
 
     sig = signature_of(closed)
     identity = tuple(range(chain.size))
     for n in range(1, max_n + 1):
         space = masks.Space(sig, n, chain.size)
-        programs = [
+        programs = terms(space) if callable(terms) else [
             masks.Program(c, phi, space, identity if leaf is None else leaf)
             for c, phi, leaf in terms
         ]
@@ -211,16 +212,30 @@ def suite_residuation(max_size: int = 12) -> Cases:
 def suite_lemma_tr(trials: int = 200, seed: int = 7, exhaustive_n: int = 2) -> Cases:
     """First-order truth value equals the grounded propositional value
     under the induced assignment: exhaustive on the fixed corpus at
-    n <= exhaustive_n, plus seeded random formulas with sampled models
-    at n <= 3."""
+    n <= exhaustive_n, on the mask engine, plus seeded random formulas
+    with sampled models at n <= 3."""
+    from . import masks
+
+    def judge(full, direct, coded):
+        return full, _same(direct, coded)
+
     chains = _lemma_tr_chains()
     for chain in chains:
+        identity = tuple(range(chain.size))
         for phi in corpus.fixed_corpus():
-            sig = signature_of(phi)
-            for n in range(1, exhaustive_n + 1):
-                yield from _coding_cases(
-                    chain, phi, n, enumerate_models(sig, n, chain.carrier)
-                )
+            closed = universal_closure(phi)
+
+            def programs(space):
+                # Cell variables in the model space's order share its positions.
+                names = [cell_variable(pred, args) for pred, args in space.cells]
+                cells = masks.Space.of_variables(names, chain.size)
+                coded = masks.Program(chain, ground(closed, space.n).formula, cells, identity)
+                return [masks.Program(chain, closed, space, identity), coded]
+
+            def case(model):
+                return next(_coding_cases(chain, phi, model.domain_size, [model]))
+
+            yield from _model_scan(chain, closed, exhaustive_n, programs, judge, case)
     rng = random.Random(seed)
     for _ in range(trials):
         chain = rng.choice(chains)
@@ -347,6 +362,8 @@ def suite_lemma_pred(max_n: int = 2) -> Cases:
     """Definedness guard: positivity is valuation-uniform, and a
     positive guard rules out the negation fixpoint among all subformula
     values."""
+    from . import masks
+
     for chain in [make_chain("lukasiewicz", 2), make_chain("lukasiewicz", 3)]:
         fixpoint = negation_profile(chain).fixpoint
 
@@ -360,8 +377,9 @@ def suite_lemma_pred(max_n: int = 2) -> Cases:
             if free_variables(guard):
                 raise AssertionError(f"{pretty(phi)}: guard not valuation-uniform")
             # A closed guard takes one value per model: one passing case each.
-            cells = (model_cells(signature_of(phi), n, chain.size) for n in range(1, max_n + 1))
-            yield Batch(sum(chain.size ** len(c) for c in cells), [])
+            sig = signature_of(phi)
+            sizes = (masks.Space(sig, n, chain.size).size for n in range(1, max_n + 1))
+            yield Batch(sum(sizes), [])
             if fixpoint is None:
                 continue
             fixed = _fixpoint_formula(phi)

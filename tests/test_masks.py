@@ -1,11 +1,12 @@
 """The mask engine against the Fraction evaluator.
 
 At every rank, the mask value of a closed formula equals eval_fo on the
-model that the rank decodes to, and that model is the one
-enumerate_models yields at that position.  The engine's first failing
-rank equals the first failing model of an enumerate_models + eval_fo
-scan, the model-by-model loop that the engine replaced, kept here as
-the oracle.  On the rational families, find_countermodel's grid scan
+model that the rank decodes to, and that model is the one an
+itertools.product over the cells yields at that position, as is the
+model enumerate_models yields there.  The engine's first failing rank
+equals the first failing model of an itertools.product + eval_fo scan,
+the model-by-model loop that the engine replaced, kept here as the
+oracle.  On the rational families, find_countermodel's grid scan
 on the masks, over the values the formula can reach, equals that loop
 too, with the loop's Fraction arithmetic as the oracle.  is_taut_prop's
 verdict and witness equal those of an itertools.product + eval_prop
@@ -159,13 +160,30 @@ def _same_error(exc, action):
         action()
 
 
+def _product_models(sig, n, values):
+    """The models of sig over {1..n} with cells from values, in the
+    canonical order, by an itertools.product over the cells: the loop
+    that enumerate_models ran before it decoded ranks."""
+    cells = [
+        (pred, args)
+        for pred in sorted(sig)
+        for args in itertools.product(range(1, n + 1), repeat=sig[pred])
+    ]
+    for row in itertools.product(values, repeat=len(cells)):
+        tables = {pred: {} for pred in sorted(sig)}
+        for (pred, args), value in zip(cells, row):
+            tables[pred][args] = value
+        yield Model(n, tables)
+
+
 @PROPERTY
 @given(chain=chains, phi=formulas, n=st.integers(1, 2), bits=chunk_bits)
 def test_mask_value_is_eval_fo_at_every_rank(chain, phi, n, bits):
     closed, sig = _closed_case(chain, phi, n)
     space = masks.Space(sig, n, chain.size)
     identity = tuple(range(chain.size))
-    models = list(enumerate_models(sig, n, chain.carrier))
+    models = list(_product_models(sig, n, chain.carrier))
+    assert list(enumerate_models(sig, n, chain.carrier)) == models
     try:
         expected = [eval_fo(chain, m, {}, closed) for m in models]
     except MvlogicError as exc:  # delta on a chain without delta
@@ -185,28 +203,12 @@ def test_mask_value_is_eval_fo_at_every_rank(chain, phi, n, bits):
     assert scanned == len(models) == space.size
 
 
-def _product_models(sig, n, values):
-    """The models of sig over {1..n} with cells from values, in the
-    canonical order, by an itertools.product over the cells: the loop
-    that enumerate_models ran before it decoded ranks."""
-    cells = [
-        (pred, args)
-        for pred in sorted(sig)
-        for args in itertools.product(range(1, n + 1), repeat=sig[pred])
-    ]
-    for row in itertools.product(values, repeat=len(cells)):
-        tables = {pred: {} for pred in sorted(sig)}
-        for (pred, args), value in zip(cells, row):
-            tables[pred][args] = value
-        yield Model(n, tables)
-
-
 def _fraction_loop(chain, closed, max_size, values):
     """The model-by-model scan that the engine replaced: the first
     countermodel over domains 1..max_size, with its value."""
     sig = signature_of(closed)
     for n in range(1, max_size + 1):
-        for model in enumerate_models(sig, n, values):
+        for model in _product_models(sig, n, values):
             value = eval_fo(chain, model, {}, closed)
             if value != chain.top:
                 return model, value
@@ -326,7 +328,7 @@ def test_no_atoms_one_model_per_size(chain, text):
     for n in (1, 2):
         space = masks.Space({}, n, chain.size)
         assert space.size == 1
-        (model,) = enumerate_models({}, n, chain.carrier)
+        (model,) = _product_models({}, n, chain.carrier)
         assert space.model(0, chain.carrier) == model
         try:
             oracle = _fraction_loop(chain, phi, n, chain.carrier)
@@ -439,7 +441,7 @@ def test_suite_scan_reports_failing_ranks_in_order():
     expected = [
         case(m)[1]
         for n in (1, 2)
-        for m in enumerate_models({"P": 1}, n, chain.carrier)
+        for m in _product_models({"P": 1}, n, chain.carrier)
         if not case(m)[0]
     ]
     assert failures == expected
