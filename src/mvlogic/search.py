@@ -156,8 +156,10 @@ def taut_upto_direct(chain: BaseChain, phi: Formula, bound: int) -> Verdict:
 def verify_certificate(cert: Certificate, chain: BaseChain | None = None) -> bool:
     """Re-evaluate the certificate; True iff the value matches exactly
     and is strictly below 1.  A chain disagreeing with the recorded
-    hash (a finite chain needs a real hash, not "-") or a model that
-    is not a total model over the chain's carrier is a hard error."""
+    hash (a finite chain needs a real hash, not "-"), a model that is
+    not a total model over the chain's carrier, or a valuation that
+    does not send exactly the formula's free variables into the domain
+    is a hard error."""
     if chain is None:
         if cert.chain_text is None:
             raise CertificateError("no chain given and no inline copy present")
@@ -168,8 +170,15 @@ def verify_certificate(cert: Certificate, chain: BaseChain | None = None) -> boo
         )
     phi = parse(cert.formula_text, kind="fo")
     cert.model.validate(chain, signature_of(phi))
-    if free_variables(phi) and not cert.valuation:
-        return False
+    free = free_variables(phi)
+    if set(cert.valuation) != set(free):
+        raise CertificateError(
+            f"valuation names {sorted(cert.valuation)}, not the formula's "
+            f"free variables {sorted(free)}"
+        )
+    for name, element in cert.valuation.items():
+        if not 1 <= element <= cert.model.domain_size:
+            raise CertificateError(f"valuation {name}={element} is outside the domain")
     val = eval_fo(chain, cert.model, cert.valuation, phi)
     return val == cert.value and val < chain.top
 
@@ -259,6 +268,8 @@ def certificate_from_text(text: str) -> Certificate:
             elif key == "valuation":
                 for pair in rest.split():
                     k, v = pair.split("=")
+                    if k in valuation:
+                        raise FormatError(f"valuation repeats {k!r}")
                     valuation[k] = int(v)
             elif key == "value" and len(rest.split()) == 1:
                 value = Fraction(rest)

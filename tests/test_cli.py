@@ -269,6 +269,9 @@ class TestBadInputExits2:
             "twoinline": write("ti.cert", good.replace("begin model", inline + inline
                                                        + "begin model")),
             "valuations": write("vs.cert", good.replace("valuation\n", "valuations\n")),
+            "repeatedvar": write("rv.cert", good.replace("valuation\n", "valuation x=99 x=7\n")),
+            "boundvar": write("bv.cert", good.replace("valuation\n", "valuation x=1\n")),
+            "absentvar": write("av.cert", good.replace("valuation\n", "valuation zz=-3\n")),
         }
 
     @pytest.mark.parametrize("argv", [
@@ -302,13 +305,18 @@ class TestBadInputExits2:
         ["verify", "--certificate", "{twomodels}", "--chain", "{luk2}"],
         ["verify", "--certificate", "{twoinline}"],
         ["verify", "--certificate", "{valuations}", "--chain", "{luk2}"],
+        ["verify", "--certificate", "{repeatedvar}", "--chain", "{luk2}"],
+        ["verify", "--certificate", "{boundvar}", "--chain", "{luk2}"],
+        ["verify", "--certificate", "{absentvar}", "--chain", "{luk2}"],
     ], ids=["max-size-0", "grid-0", "deep", "size-0", "label-5", "size-3-9",
             "trailing-garbage", "forged",
             "no-hash", "eval", "modelmap", "value-1/0", "negative-arity",
             "pred-twice", "extra-cell-token", "extra-pred-token",
             "extra-domain-token", "extra-cert-token", "inline-chain-breaks-a-law",
             "extra-value-token", "second-value", "second-formula", "second-valuation",
-            "second-chain-line", "second-model", "second-inline-chain", "valuations"])
+            "second-chain-line", "second-model", "second-inline-chain", "valuations",
+            "valuation-repeats-a-variable", "valuation-of-a-bound-variable",
+            "valuation-of-an-absent-variable"])
     def test_exit_2(self, files, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main_argv([arg.format(**files) for arg in argv])

@@ -9,6 +9,7 @@ from mvlogic import (
     CertificateError,
     Chain,
     ChainLawError,
+    FormatError,
     InvalidParameterError,
     Model,
     MvlogicError,
@@ -128,6 +129,27 @@ class TestVerify:
         assert again == cert
         assert certificate_to_text(again) == text
         assert verify_certificate(again)
+
+
+    @pytest.mark.parametrize("valuation, error", [
+        ("x=1", CertificateError),  # x is bound
+        ("zz=-3", CertificateError),  # not in the formula
+        ("x=99 x=7", FormatError),
+    ])
+    def test_valuation_of_a_closed_formula_is_empty(self, valuation, error):
+        text = certificate_to_text(find_countermodel(L2, parse("forall x. P(x)"), 1))
+        assert text.endswith("\nvaluation \nvalue 0\n")
+        with pytest.raises(error):
+            verify_certificate(certificate_from_text(text.replace("valuation ", "valuation " + valuation)))
+
+    def test_valuation_sends_each_free_variable_into_the_domain(self):
+        model = Model.from_dict(2, {"R": {(1, 1): F(1, 2), (1, 2): F(0), (2, 1): F(1), (2, 2): F(1)}})
+        cert = Certificate(L2.name, L2.table_hash(), "R(x, y)", model, {"x": 1, "y": 2}, F(0))
+        assert verify_certificate(cert, L2)
+        assert not verify_certificate(dataclasses.replace(cert, valuation={"x": 1, "y": 1}), L2)
+        for valuation in ({"x": 1}, {}, {"x": 1, "y": 3}, {"x": 0, "y": 2}, {"x": 1, "y": 2, "z": 1}):
+            with pytest.raises(CertificateError):
+                verify_certificate(dataclasses.replace(cert, valuation=valuation), L2)
 
 
 class TestTautUptoDirect:
