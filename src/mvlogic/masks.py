@@ -71,8 +71,9 @@ class Space:
             raise InvalidParameterError("domain size must be >= 1")
         self.preds = sorted(sig)
         domain = range(1, n + 1)
-        self._index([(p, a) for p in self.preds for a in product(domain, repeat=sig[p])], n, radix)
-        check_cap(self.size, "models")
+        cells = [(p, a) for p in self.preds for a in product(domain, repeat=sig[p])]
+        check_cap(radix ** len(cells), "models")
+        self._index(cells, n, radix)
 
     @classmethod
     def of_variables(cls, names: list[str], radix: int) -> "Space":

@@ -2,16 +2,16 @@
 
 At every rank, the mask value of a closed formula equals eval_fo on the
 model that the rank decodes to, and that model is the one an
-itertools.product over the cells yields at that position, as is the
-model enumerate_models yields there.  The engine's first failing rank
-equals the first failing model of an itertools.product + eval_fo scan,
-the model-by-model loop that the engine replaced, kept here as the
-oracle.  On the rational families, find_countermodel's grid scan
-on the masks, over the values the formula can reach, equals that loop
-too, with the loop's Fraction arithmetic as the oracle.  is_taut_prop's
-verdict and witness equal those of an itertools.product + eval_prop
-scan over the assignments.  Chunk sizes are shrunk in some examples so
-that one small space spans many chunks.
+itertools.product over the cells yields at that position, as
+enumerate_models does.  The engine's first failing rank equals the
+first failing model of an itertools.product + eval_fo scan, the
+model-by-model loop that the engine replaced, kept here as the oracle.
+On the rational families, find_countermodel's grid scan on the masks,
+over the values the formula can reach, equals that loop too, with the
+loop's Fraction arithmetic as the oracle.  is_taut_prop's verdict and
+witness equal those of an itertools.product + eval_prop scan over the
+assignments.  Chunk sizes are shrunk in some examples so that one small
+space spans many chunks.
 """
 
 import contextlib
@@ -45,7 +45,7 @@ from mvlogic import (
     taut_upto_grounded,
     universal_closure,
 )
-from mvlogic import masks
+from mvlogic import grounding, masks, suites
 from mvlogic.chains import trivial_chain
 from mvlogic.corpus import fixed_corpus
 from mvlogic.formulas import (
@@ -63,7 +63,6 @@ from mvlogic.formulas import (
     Var,
     prop_variables,
 )
-from mvlogic import grounding, suites
 from mvlogic.suites import SUITES, Batch, _coding_cases, _model_scan
 
 # Predicate names with "_", digits and "'", of arities 0, 1 and 2.
@@ -183,7 +182,6 @@ def test_mask_value_is_eval_fo_at_every_rank(chain, phi, n, bits):
     space = masks.Space(sig, n, chain.size)
     identity = tuple(range(chain.size))
     models = list(_product_models(sig, n, chain.carrier))
-    assert list(enumerate_models(sig, n, chain.carrier)) == models
     try:
         expected = [eval_fo(chain, m, {}, closed) for m in models]
     except MvlogicError as exc:  # delta on a chain without delta
@@ -201,6 +199,13 @@ def test_mask_value_is_eval_fo_at_every_rank(chain, phi, n, bits):
                 indices = [v for v, mask in enumerate(values) if mask >> offset & 1]
                 assert indices == [chain.index(expected[rank])]
     assert scanned == len(models) == space.size
+
+
+@pytest.mark.parametrize("values", [(F(0), F(1, 2), F(1)), (F(1), F(0), F(1))])
+@pytest.mark.parametrize("n", [1, 2])
+def test_enumerate_models_is_the_product_loop(n, values):
+    sig = {"R2'": 2, "B0": 0, "q_1": 1}
+    assert list(enumerate_models(sig, n, values)) == list(_product_models(sig, n, values))
 
 
 def _fraction_loop(chain, closed, max_size, values):
