@@ -9,7 +9,9 @@ a nilpotent-minimum chain, the `modelmap` and `fragment` texts and the
 library model maps on a model that holds a value outside the carrier.
 Under `streams` it holds the pretty text of seeded random formulas
 from both corpus generators, the subchains of three chains and the
-one-element chain files of the named families.
+one-element chain files of the named families.  Under `translations`
+it holds, for each formula translation, the sha256 of the pretty texts
+of its outputs over the corpora and seeded random formulas.
 Any refactor must reproduce it byte for byte.  Re-record (only for a
 documented behaviour change) with:
 
@@ -33,21 +35,29 @@ from mvlogic import (
     boolean_collapse,
     certificate_to_text,
     chain_to_text,
+    delta_guard,
+    desugar,
+    double_neg,
     find_countermodel,
     godel_fragment,
+    lift_prop,
+    luk_star,
     make_chain,
     make_rational_chain,
     make_wnm_chain,
     model_plus,
     model_to_text,
+    predef,
     pretty,
     subchains,
     taut_upto_direct,
     taut_upto_grounded,
+    wnm_star,
 )
 from mvlogic.cli import run
 from mvlogic.corpus import (
     FIXED_CORPUS_TEXT,
+    classical_corpus,
     fixed_corpus,
     random_formula,
     random_propositional,
@@ -195,10 +205,46 @@ def compute_streams() -> dict:
     return out
 
 
+def _seeded(gen, allow_delta: bool) -> list:
+    """The seeded formulas of compute_streams, as formulas."""
+    out = []
+    for seed in STREAM_SEEDS:
+        rng = random.Random(seed)
+        out.extend(gen(rng, depth=depth, allow_delta=allow_delta)
+                   for depth in (*range(6), *range(6)))
+    return out
+
+
+def compute_translations() -> dict:
+    """For each formula translation, the sha256 of the pretty texts of
+    its outputs, one per line: the fixed corpus and seeded random
+    formulas (delta-free for the delta-free translations), the
+    classical corpus for the guards, seeded propositional formulas for
+    lift_prop."""
+    def fo(allow_delta):
+        return [*fixed_corpus(), *_seeded(random_formula, allow_delta)]
+
+    inputs = {
+        "desugar": (desugar, fo(True)),
+        "wnm_star": (wnm_star, fo(False)),
+        "double_neg": (double_neg, fo(False)),
+        "delta_guard": (delta_guard, fo(True)),
+        "predef": (predef, classical_corpus()),
+        "luk_star": (luk_star, classical_corpus()),
+        "lift_prop": (lift_prop, _seeded(random_propositional, True)),
+    }
+    return {
+        name: hashlib.sha256(
+            "\n".join(pretty(translate(phi)) for phi in phis).encode()
+        ).hexdigest()
+        for name, (translate, phis) in inputs.items()
+    }
+
+
 def compute_golden() -> dict:
     return {
         **compute_corpus(), "suites": compute_suites(), "maps": compute_maps(),
-        "streams": compute_streams(),
+        "streams": compute_streams(), "translations": compute_translations(),
     }
 
 
@@ -254,6 +300,11 @@ def test_golden_model_maps_unchanged():
 def test_golden_streams_unchanged():
     expected = json.loads(GOLDEN.read_text())["streams"]
     assert compute_streams() == expected
+
+
+def test_golden_translations_unchanged():
+    expected = json.loads(GOLDEN.read_text())["translations"]
+    assert compute_translations() == expected
 
 
 if __name__ == "__main__":
