@@ -205,27 +205,16 @@ def desugar(phi: Formula) -> Formula:
     ~a becomes a -> bot; a \\/ b becomes ((a->b)->b) /\\ ((b->a)->a);
     a <-> b becomes (a->b) /\\ (b->a).  Idempotent.
     """
-    if isinstance(phi, Not):
+    t = type(phi)
+    if t is Not:
         return Implies(desugar(phi.sub), BOT)
-    if isinstance(phi, Or):
+    if t is Or:
         a, b = desugar(phi.left), desugar(phi.right)
         return And(Implies(Implies(a, b), b), Implies(Implies(b, a), a))
-    if isinstance(phi, Iff):
+    if t is Iff:
         a, b = desugar(phi.left), desugar(phi.right)
         return And(Implies(a, b), Implies(b, a))
-    if isinstance(phi, And):
-        return And(desugar(phi.left), desugar(phi.right))
-    if isinstance(phi, StrongAnd):
-        return StrongAnd(desugar(phi.left), desugar(phi.right))
-    if isinstance(phi, Implies):
-        return Implies(desugar(phi.left), desugar(phi.right))
-    if isinstance(phi, Delta):
-        return Delta(desugar(phi.sub))
-    if isinstance(phi, Forall):
-        return Forall(phi.var, desugar(phi.body))
-    if isinstance(phi, Exists):
-        return Exists(phi.var, desugar(phi.body))
-    return phi
+    return rebuild(phi, desugar)
 
 
 def universal_closure(phi: Formula) -> Formula:
@@ -241,44 +230,61 @@ def map_leaves(phi: Formula, leaf: type, fn) -> Formula:
     """phi with every node of type `leaf` (Var or Atom) replaced by
     fn(node).  Quantifiers are copied unchanged, so variables in fn's
     output are not renamed apart from them."""
-    t = type(phi)
-    if t is leaf:
+    if type(phi) is leaf:
         return fn(phi)
-    if isinstance(phi, BINARY):
-        return t(map_leaves(phi.left, leaf, fn), map_leaves(phi.right, leaf, fn))
-    if isinstance(phi, UNARY):
-        return t(map_leaves(phi.sub, leaf, fn))
-    if isinstance(phi, QUANT):
-        return t(phi.var, map_leaves(phi.body, leaf, fn))
+    return rebuild(phi, lambda sub: map_leaves(sub, leaf, fn))
+
+
+def rebuild(phi: Formula, fn) -> Formula:
+    """phi with fn applied to each immediate subformula; a leaf is
+    returned unchanged."""
+    t = type(phi)
+    if t in _BINARY_TYPES:
+        return t(fn(phi.left), fn(phi.right))
+    if t in _UNARY_TYPES:
+        return t(fn(phi.sub))
+    if t in _QUANT_TYPES:
+        return t(phi.var, fn(phi.body))
     return phi
 
 
 # ---------------------------------------------------------------------------
-# Pretty-printer
+# Spelling: the parser's token tables, which pretty reads backwards
 
-_BIN_SYMBOL = {And: "/\\", StrongAnd: "&", Implies: "->", Or: "\\/", Iff: "<->"}
+# Binary connectives by token: (precedence, node), tightest highest.
+_BINARY_OPS = {
+    "<->": (1, Iff),
+    "->": (2, Implies),
+    "\\/": (3, Or),
+    "/\\": (4, And),
+    "&": (5, StrongAnd),
+}
+_PREFIX_OPS = {"~": Not, "!": Delta}
+_QUANTIFIERS = {"forall": Forall, "exists": Exists}
+
+_SPELLING = {
+    **{node: token for token, (_, node) in _BINARY_OPS.items()},
+    **{node: token for token, node in (*_PREFIX_OPS.items(), *_QUANTIFIERS.items())},
+}
 
 
 def pretty(phi: Formula) -> str:
     """Fully parenthesized canonical form; parse(pretty(phi)) == phi."""
-    if isinstance(phi, Var):
+    t = type(phi)
+    if t is Var:
         return phi.name
-    if isinstance(phi, Bottom):
+    if t is Bottom:
         return "bot"
-    if isinstance(phi, Atom):
+    if t is Atom:
         if phi.args:
             return f"{phi.pred}({','.join(phi.args)})"
         return phi.pred
-    if isinstance(phi, Not):
-        return f"~{pretty(phi.sub)}"
-    if isinstance(phi, Delta):
-        return f"!{pretty(phi.sub)}"
-    if isinstance(phi, BINARY):
-        return f"({pretty(phi.left)} {_BIN_SYMBOL[type(phi)]} {pretty(phi.right)})"
-    if isinstance(phi, Forall):
-        return f"(forall {phi.var}. {pretty(phi.body)})"
-    if isinstance(phi, Exists):
-        return f"(exists {phi.var}. {pretty(phi.body)})"
+    if t in _UNARY_TYPES:
+        return f"{_SPELLING[t]}{pretty(phi.sub)}"
+    if t in _BINARY_TYPES:
+        return f"({pretty(phi.left)} {_SPELLING[t]} {pretty(phi.right)})"
+    if t in _QUANT_TYPES:
+        return f"({_SPELLING[t]} {phi.var}. {pretty(phi.body)})"
     raise TypeError(f"not a formula node: {phi!r}")
 
 
@@ -293,17 +299,9 @@ def pretty(phi: Formula) -> str:
 # overflow the recursive walks.  Deeper input is a ParseError.
 MAX_DEPTH = 250
 
-# Binary connectives by token: (precedence, node), tightest highest.
-_BINARY_OPS = {
-    "<->": (1, Iff),
-    "->": (2, Implies),
-    "\\/": (3, Or),
-    "/\\": (4, And),
-    "&": (5, StrongAnd),
-}
 _OPERAND = 6  # min_prec of the operand of ~ and !: no connective binds in it
 
-_KEYWORDS = {"forall", "exists", "bot"}
+_KEYWORDS = {*_QUANTIFIERS, "bot"}
 
 # One match per newline, symbol, word or stray character; whitespace
 # other than "\n" matches nothing and is skipped.  A word is a run of
@@ -400,8 +398,7 @@ class _Parser:
         var = self.expect("name").text
         self.expect(".")
         body, height = self.formula()
-        node = Forall if tok.kind == "forall" else Exists
-        return node(var, body), height + 1
+        return _QUANTIFIERS[tok.kind](var, body), height + 1
 
     def unary(self) -> tuple[Formula, int]:
         """A unary formula: ~ or ! and its operand, a quantifier, a
@@ -430,11 +427,11 @@ class _Parser:
             inner = self.formula()
             self.expect(")")
             return inner
-        if kind == "~" or kind == "!":
+        if kind in _PREFIX_OPS:
             self.pos += 1
             sub, height = self.formula(_OPERAND)
-            return (Not if kind == "~" else Delta)(sub), height + 1
-        if kind == "forall" or kind == "exists":
+            return _PREFIX_OPS[kind](sub), height + 1
+        if kind in _QUANTIFIERS:
             self.pos += 1
             return self._quantifier(tok)
         if kind == "bot":

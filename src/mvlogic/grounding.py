@@ -77,10 +77,8 @@ def _ground(phi: Formula, n: int, env: dict[str, int], legend) -> Formula:
         return phi
     if isinstance(phi, BINARY):
         return t(_ground(phi.left, n, env, legend), _ground(phi.right, n, env, legend))
-    if t is Not:
-        return Not(_ground(phi.sub, n, env, legend))
-    if t is Delta:
-        return Delta(_ground(phi.sub, n, env, legend))
+    if t is Not or t is Delta:
+        return t(_ground(phi.sub, n, env, legend))
     if t is Forall or t is Exists:
         combine = And if t is Forall else Or
         parts = []

@@ -43,6 +43,7 @@ from .formulas import (
     has_delta,
     is_classical,
     map_leaves,
+    rebuild,
     signature_of,
     universal_closure,
 )
@@ -66,14 +67,10 @@ def _wnm_star(phi: Formula) -> Formula:
     t = type(phi)
     if t is Atom:
         return _square(phi)
-    if t is Bottom:
-        return phi
     if t is Implies:
-        return _square(Implies(_wnm_star(phi.left), _wnm_star(phi.right)))
-    if t in (And, StrongAnd):
-        return t(_wnm_star(phi.left), _wnm_star(phi.right))
-    if t in (Forall, Exists):
-        return t(phi.var, _wnm_star(phi.body))
+        return _square(rebuild(phi, _wnm_star))
+    if t in (Bottom, And, StrongAnd, Forall, Exists):
+        return rebuild(phi, _wnm_star)
     raise TranslationError(f"unexpected node after desugaring: {phi!r}")
 
 

@@ -129,6 +129,14 @@ def eval_fo(
     return _eval(chain, {}, model, dict(valuation), phi)
 
 
+# The chain operation of each lattice, monoid and unary connective,
+# by node type.  Kept apart from the mask engine's tables: this
+# evaluator is the independent check on that engine.
+_OPERATIONS = {
+    Implies: "implies", StrongAnd: "star", And: "meet", Or: "join", Not: "neg", Delta: "delta",
+}
+
+
 def _eval(chain, assignment, model, v, phi):
     """The one Fraction evaluator: Var reads the assignment, Atom reads
     the model tables under the valuation v (mutated and restored by the
@@ -154,34 +162,18 @@ def _eval(chain, assignment, model, v, phi):
             raise EvaluationError(f"no value assigned to variable {phi.name}")
     if t is Bottom:
         return chain.bottom
-    if t is Implies:
-        return chain.implies(
+    op = _OPERATIONS.get(t)
+    if op is not None:
+        if t is Not or t is Delta:
+            return getattr(chain, op)(_eval(chain, assignment, model, v, phi.sub))
+        return getattr(chain, op)(
             _eval(chain, assignment, model, v, phi.left),
             _eval(chain, assignment, model, v, phi.right),
         )
-    if t is StrongAnd:
-        return chain.star(
-            _eval(chain, assignment, model, v, phi.left),
-            _eval(chain, assignment, model, v, phi.right),
-        )
-    if t is And:
-        return chain.meet(
-            _eval(chain, assignment, model, v, phi.left),
-            _eval(chain, assignment, model, v, phi.right),
-        )
-    if t is Or:
-        return chain.join(
-            _eval(chain, assignment, model, v, phi.left),
-            _eval(chain, assignment, model, v, phi.right),
-        )
-    if t is Not:
-        return chain.neg(_eval(chain, assignment, model, v, phi.sub))
     if t is Iff:
         a = _eval(chain, assignment, model, v, phi.left)
         b = _eval(chain, assignment, model, v, phi.right)
         return chain.meet(chain.implies(a, b), chain.implies(b, a))
-    if t is Delta:
-        return chain.delta(_eval(chain, assignment, model, v, phi.sub))
     if (t is Forall or t is Exists) and model is not None:
         saved = v.get(phi.var)
         best = None
