@@ -36,6 +36,7 @@ from .formulas import (
     Or,
     StrongAnd,
     Var,
+    pretty,
     prop_variables,
 )
 
@@ -206,8 +207,9 @@ def is_taut_prop(
 
     Returns (True, None) or (False, witness) where the witness is the
     lexicographically first failing assignment (variables sorted by
-    name, values in carrier order).  Raises CapExceededError upfront if
-    the assignment count exceeds the enumeration cap.
+    name, values in carrier order), re-checked with eval_prop.  Raises
+    CapExceededError upfront if the assignment count exceeds the
+    enumeration cap.
     """
     from . import masks  # masks builds on this module's Model
 
@@ -218,7 +220,15 @@ def is_taut_prop(
     found = masks.first_rank(space, program)
     if found is None:
         return True, None
-    return False, {name: c.carrier[d] for name, d in zip(space.cells, space.digits(found[0]))}
+    rank, index = found
+    witness = {name: c.carrier[d] for name, d in zip(space.cells, space.digits(rank))}
+    val = eval_prop(c, witness, phi)
+    if val != c.carrier[index]:
+        raise AssertionError(
+            f"mask value {c.carrier[index]} differs from eval_prop value {val} "
+            f"on {pretty(phi)}"
+        )
+    return False, witness
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,14 @@ from .formulas import (
     subformulas,
     universal_closure,
 )
-from .grounding import cell_variable, ground, induced_assignment, taut_upto_grounded
+from .grounding import (
+    Verdict,
+    _ground,
+    cell_variable,
+    ground,
+    induced_assignment,
+    taut_upto_grounded,
+)
 from .reductions import (
     boolean_collapse,
     collapse_leaf,
@@ -261,20 +268,33 @@ def _coding_cases(chain: Chain, phi: Formula, n: int, models) -> Cases:
 
 
 def suite_lemma_clos(trials: int = 50, seed: int = 11, bound: int = 2) -> Cases:
-    """Open formulas and their universal closures get the same bounded
-    verdict."""
+    """An open formula is a bounded tautology, grounded valuation by
+    valuation, exactly when its universal closure is one."""
     rng = random.Random(seed)
     chains = [make_chain("boolean"), make_chain("lukasiewicz", 2), make_chain("godel", 3)]
     produced = 0
     while produced < trials:
         phi = corpus.random_formula(rng, depth=rng.randint(1, 3))
-        if not free_variables(phi):
+        free = free_variables(phi)
+        if not free:
             continue
         produced += 1
         chain = rng.choice(chains)
-        open_v = taut_upto_grounded(chain, phi, bound)
+        open_v = _open_verdict(chain, phi, free, bound)
         closed_v = taut_upto_grounded(chain, universal_closure(phi), bound)
         yield _agree(chain, phi, open_v, closed_v)
+
+
+def _open_verdict(chain: Chain, phi: Formula, free: list[str], bound: int) -> Verdict:
+    """The bounded verdict of an open formula, with no closure: refuted
+    at the first n where some valuation of its free variables into
+    {1..n} grounds it to a non-tautology."""
+    for n in range(1, bound + 1):
+        for values in itertools.product(range(1, n + 1), repeat=len(free)):
+            grounded = _ground(phi, n, dict(zip(free, values)), {})
+            if not is_taut_prop(chain, grounded)[0]:
+                return Verdict(False, bound, n)
+    return Verdict(True, bound)
 
 
 def _wnm_suite_chains() -> list[Chain]:
@@ -330,11 +350,12 @@ def suite_lemma_gc1(max_n: int = 2) -> Cases:
                 m_prime = frag.translate_model(model)
                 over_frag_star = eval_fo(frag.chain, m_prime, {}, starred)
                 over_frag = eval_fo(frag.chain, m_prime, {}, closed)
+                inside = restricted in frag.to_fragment
                 return (
-                    frag.restrict_value(restricted) == over_frag_star
-                    and over_frag_star == over_frag,
+                    inside and frag.to_fragment[restricted] == over_frag_star == over_frag,
                     f"{chain.name} {pretty(phi)}: {restricted} vs "
-                    f"{over_frag_star} vs {over_frag}",
+                    f"{over_frag_star} vs {over_frag}"
+                    + ("" if inside else " (outside the fragment support)"),
                 )
 
             terms = [

@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 import mvlogic
 from mvlogic import Chain, chain_to_text, delta_expand, make_chain, model_to_text, Model
 from mvlogic.cli import main, run
-from mvlogic.suites import shipped_chains
+from mvlogic.suites import SUITES, shipped_chains
 
 from fractions import Fraction as F
 
@@ -194,6 +195,20 @@ class TestSuiteCommand:
     def test_named_suite(self, capsys):
         assert run(["suite", "residuation"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_trials_and_seed_reach_lemma_tr(self, capsys):
+        # 62,164 exhaustive cases plus 3 sampled models per trial.
+        assert run(["suite", "lemma-tr", "--trials", "5", "--seed", "3"]) == 0
+        assert re.match(r"suite lemma-tr: PASS, 62179 cases, ", capsys.readouterr().out)
+
+    def test_seed_reaches_lemma_clos(self, capsys, monkeypatch):
+        calls = []
+        suite = SUITES["lemma-clos"]
+        monkeypatch.setitem(SUITES, "lemma-clos",
+                            lambda **kwargs: calls.append(kwargs) or suite(**kwargs))
+        assert run(["suite", "lemma-clos", "--seed", "3"]) == 0
+        assert calls == [{"seed": 3}]
+        assert re.match(r"suite lemma-clos: PASS, 50 cases, ", capsys.readouterr().out)
 
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as exc:
