@@ -9,6 +9,7 @@ variable.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from . import __version__
@@ -228,15 +229,12 @@ def _run_chain(args) -> int:
 
 def _run_suite(args) -> int:
     names = sorted(SUITES) if args.name == "all" else [args.name]
+    options = {k: getattr(args, k) for k in ("trials", "seed") if getattr(args, k) is not None}
     worst = 0
     for name in names:
         fn = SUITES[name]
-        kwargs = {}
-        if args.trials is not None and name == "lemma-tr":
-            kwargs["trials"] = args.trials
-        if args.seed is not None and name in ("lemma-tr", "lemma-clos"):
-            kwargs["seed"] = args.seed
-        report = fn(**kwargs)
+        params = inspect.signature(fn).parameters
+        report = fn(**{k: v for k, v in options.items() if k in params})
         print(report.summary())
         for failure in report.failures:
             print("  " + failure)

@@ -1,3 +1,4 @@
+import functools
 import os
 import re
 import shutil
@@ -204,11 +205,15 @@ class TestSuiteCommand:
     def test_seed_reaches_lemma_clos(self, capsys, monkeypatch):
         calls = []
         suite = SUITES["lemma-clos"]
-        monkeypatch.setitem(SUITES, "lemma-clos",
-                            lambda **kwargs: calls.append(kwargs) or suite(**kwargs))
+        spy = functools.wraps(suite)(lambda **kwargs: calls.append(kwargs) or suite(**kwargs))
+        monkeypatch.setitem(SUITES, "lemma-clos", spy)
         assert run(["suite", "lemma-clos", "--seed", "3"]) == 0
         assert calls == [{"seed": 3}]
         assert re.match(r"suite lemma-clos: PASS, 50 cases, ", capsys.readouterr().out)
+
+    def test_trials_and_seed_reach_lemma_clos(self, capsys):
+        assert run(["suite", "lemma-clos", "--trials", "5", "--seed", "3"]) == 0
+        assert re.match(r"suite lemma-clos: PASS, 5 cases, ", capsys.readouterr().out)
 
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -205,7 +205,7 @@ class TestLemmaPred:
         # scan must name the failing models the model loop names, in order.
         monkeypatch.setattr(suites, "predef", lambda phi: parse("bot -> bot"))
         report = suites.SUITES["lemma-pred"](max_n=1)
-        assert (report.cases, len(report.failures)) == (732, 102)
+        assert (report.cases, len(report.failures)) == (198, 102)
         assert report.failures == _lemma_pred_failures(max_n=1)
 
     def test_passing_run_makes_no_eval_fo_call(self, monkeypatch):
@@ -213,8 +213,18 @@ class TestLemmaPred:
         monkeypatch.setattr(suites, "eval_fo",
                             lambda *args: calls.append(args) or eval_fo(*args))
         report = suites.SUITES["lemma-pred"]()
-        assert report.ok and report.cases == 8_304
+        assert report.ok and report.cases == 468
         assert calls == []
+
+    def test_cases_are_the_models_with_a_positive_guard(self):
+        chain = make_chain("lukasiewicz", 2)
+        positive = sum(
+            eval_fo(chain, model, {}, predef(phi)) > 0
+            for phi in classical_corpus()
+            for model in enumerate_models(signature_of(phi), 1, chain.carrier)
+        )
+        assert positive == 96
+        assert suites.SUITES["lemma-pred"](max_n=1).cases == positive
 
     def test_open_guard_rejected(self, monkeypatch):
         monkeypatch.setattr(suites, "predef", lambda phi: parse("P(x)"))
