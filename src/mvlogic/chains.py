@@ -572,7 +572,7 @@ def delta_expand(chain: BaseChain) -> BaseChain:
     )
 
 
-def ordinal_sum(first: BaseChain, second: BaseChain, name: str = "") -> Chain:
+def ordinal_sum(first: BaseChain, second: BaseChain) -> Chain:
     """Two-summand ordinal sum: first's carrier minus its top, then
     second's carrier on top; star acts blockwise, the lower element wins
     across blocks.  The first summand must be an MV-chain.
@@ -599,7 +599,7 @@ def ordinal_sum(first: BaseChain, second: BaseChain, name: str = "") -> Chain:
 
     table = tuple(tuple(star_i(i, j) for j in range(k)) for i in range(k))
     carrier = _equally_spaced(k)
-    return Chain(name or f"sum({a.name},{b.name})", carrier, table)
+    return Chain(f"sum({a.name},{b.name})", carrier, table)
 
 
 # ---------------------------------------------------------------------------

@@ -78,8 +78,8 @@ def _formula_from_args(args, kind: str = "fo"):
     return parse(_read(args.formula_file), kind=kind)
 
 
-def _add_formula_args(sub, required: bool = True) -> None:
-    group = sub.add_mutually_exclusive_group(required=required)
+def _add_formula_args(sub) -> None:
+    group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--formula", help="formula text")
     group.add_argument("--formula-file", help="file with the formula (or -)")
 
@@ -229,12 +229,12 @@ def _run_chain(args) -> int:
 
 def _run_suite(args) -> int:
     names = sorted(SUITES) if args.name == "all" else [args.name]
-    options = {k: getattr(args, k) for k in ("trials", "seed") if getattr(args, k) is not None}
+    options = {"trials": args.trials, "seed": args.seed}
     worst = 0
     for name in names:
         fn = SUITES[name]
         params = inspect.signature(fn).parameters
-        report = fn(**{k: v for k, v in options.items() if k in params})
+        report = fn(**{k: v for k, v in options.items() if v is not None and k in params})
         print(report.summary())
         for failure in report.failures:
             print("  " + failure)
