@@ -7,8 +7,10 @@ from mvlogic import (
     And,
     Atom,
     Bottom,
+    Delta,
     Exists,
     Forall,
+    Iff,
     Implies,
     Not,
     Or,
@@ -163,6 +165,90 @@ TOKEN_TABLE = [
       ("->", "->", 1, 12), ("name", "s", 1, 14), (")", ")", 1, 15), (",", ",", 1, 16),
       ("name", "t", 1, 17), (".", ".", 1, 18), ("name", "u", 1, 19), ("eof", "", 1, 20)]),
 ]
+
+
+class TestNodeContract:
+    """Formula nodes behave as frozen dataclasses: the constructor,
+    repr, equality, hash and immutability below are pinned."""
+
+    REPRS = [
+        (r"~(p & q) \/ (!p <-> bot)", "prop",
+         "Or(left=Not(sub=StrongAnd(left=Var(name='p'), right=Var(name='q'))), "
+         "right=Iff(left=Delta(sub=Var(name='p')), right=Bottom()))"),
+        (r"p /\ q -> p", "prop",
+         "Implies(left=And(left=Var(name='p'), right=Var(name='q')), right=Var(name='p'))"),
+        ("forall x. exists y. (R(x,y) -> Q)", "fo",
+         "Forall(var='x', body=Exists(var='y', body=Implies(left=Atom(pred='R', "
+         "args=('x', 'y')), right=Atom(pred='Q', args=()))))"),
+    ]
+
+    p, q = Var("p"), Var("q")
+    # Each node with its fields, in declaration order.
+    NODES = [
+        (Var("p"), ("p",)),
+        (Bottom(), ()),
+        (Atom("R", ("x", "y")), ("R", ("x", "y"))),
+        (And(p, q), (p, q)),
+        (StrongAnd(p, q), (p, q)),
+        (Implies(p, q), (p, q)),
+        (Or(p, q), (p, q)),
+        (Iff(p, q), (p, q)),
+        (Not(p), (p,)),
+        (Delta(p), (p,)),
+        (Forall("x", p), ("x", p)),
+        (Exists("x", p), ("x", p)),
+    ]
+
+    @pytest.mark.parametrize("text, kind, expected", REPRS)
+    def test_repr(self, text, kind, expected):
+        assert repr(parse(text, kind=kind)) == expected
+
+    def test_eq_needs_same_type_and_fields(self):
+        for node, fields in self.NODES:
+            assert node == type(node)(*fields)
+            assert not node != type(node)(*fields)
+            for other, other_fields in self.NODES:
+                if type(other) is not type(node):
+                    assert node != other
+                    assert not node == other
+        assert Var("p") != Var("q")
+        assert Forall("x", Var("p")) != Forall("y", Var("p"))
+        assert Var("p") != "p" and Var("p") != ("p",)
+        assert Bottom() == Bottom()
+
+    def test_hash_is_hash_of_fields(self):
+        for node, fields in self.NODES:
+            assert hash(node) == hash(fields)
+        phi = parse(r"forall x. (P(x) & ~P(x) -> bot)")
+        assert hash(phi) == hash(parse(r"forall x. (P(x) & ~P(x) -> bot)"))
+
+    @pytest.mark.parametrize("field", ["name", "pred", "args", "left", "right", "sub", "var", "body"])
+    def test_assignment_raises(self, field):
+        for node, _ in self.NODES:
+            with pytest.raises(AttributeError):
+                setattr(node, field, None)
+
+    def test_atom_args_default(self):
+        assert Atom("P").args == ()
+        assert Atom("P") == Atom("P", ())
+
+    def test_keyword_construction(self):
+        p = Var(name="p")
+        assert p == Var("p")
+        assert Atom(pred="R", args=("x",)) == Atom("R", ("x",))
+        assert And(left=p, right=p) == And(p, p)
+        assert StrongAnd(right=p, left=Bottom()) == StrongAnd(Bottom(), p)
+        assert Implies(left=p, right=p) == Implies(p, p)
+        assert Or(left=p, right=p) == Or(p, p)
+        assert Iff(left=p, right=p) == Iff(p, p)
+        assert Not(sub=p) == Not(p)
+        assert Delta(sub=p) == Delta(p)
+        assert Forall(var="x", body=p) == Forall("x", p)
+        assert Exists(body=p, var="x") == Exists("x", p)
+        with pytest.raises(TypeError):
+            Forall("x")
+        with pytest.raises(TypeError):
+            Var("p", "q")
 
 
 class TestTokenize:
