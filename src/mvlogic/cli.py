@@ -9,7 +9,6 @@ variable.
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 
 from . import __version__
@@ -21,51 +20,50 @@ from .chains import (
     ordinal_sum,
     subchains,
 )
-from .errors import MvlogicError
+from .errors import InvalidParameterError, MvlogicError
 from .formulas import parse, pretty, signature_of, universal_closure
-from .grounding import ground, taut_upto_grounded, witness_model
-from .reductions import (
-    boolean_collapse,
-    delta_guard,
-    double_neg,
-    godel_fragment,
-    luk_star,
-    model_plus,
-    predef,
-    wnm_star,
+
+# Each command imports the modules it runs inside its branch below, so
+# that a short command does not pay for the whole package.  These two
+# tables name what `--help` lists without importing it: SUITE_NAMES is
+# sorted(suites.SUITES), and TRANSLATIONS maps a pass to its function
+# in reductions.
+SUITE_NAMES = (
+    "divisibility", "fo-axioms", "formula-f", "lemma-clos", "lemma-gc", "lemma-gc1",
+    "lemma-luk", "lemma-luk1", "lemma-pred", "lemma-tr", "oracle-agreement",
+    "residuation", "thm41-bl", "thm41-smtl", "thm413-demo", "thm415-delta",
 )
-from .search import (
-    certificate_from_text,
-    certificate_to_text,
-    find_countermodel,
-    lift_prop,
-    verify_certificate,
-)
-from .semantics import eval_fo, model_from_text, model_to_text
-from .suites import SUITES
 
 TRANSLATIONS = {
-    "wnm-star": wnm_star,
-    "predef": predef,
-    "luk-star": luk_star,
-    "double-neg": double_neg,
-    "delta-guard": delta_guard,
+    "wnm-star": "wnm_star",
+    "predef": "predef",
+    "luk-star": "luk_star",
+    "double-neg": "double_neg",
+    "delta-guard": "delta_guard",
 }
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path) as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path) as handle:
+            return handle.read()
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidParameterError(f"cannot read {path}: not {exc.encoding} text") from None
 
 
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _load_chain(path: str):
@@ -183,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_formula_args(li)
 
     su = sub.add_parser("suite", help="run a named verification suite")
-    su.add_argument("name", choices=sorted(SUITES) + ["all"])
+    su.add_argument("name", choices=[*SUITE_NAMES, "all"])
     su.add_argument("--trials", type=int)
     su.add_argument("--seed", type=int)
 
@@ -228,6 +226,10 @@ def _run_chain(args) -> int:
 
 
 def _run_suite(args) -> int:
+    import inspect
+
+    from .suites import SUITES
+
     names = sorted(SUITES) if args.name == "all" else [args.name]
     options = {"trials": args.trials, "seed": args.seed}
     worst = 0
@@ -255,6 +257,8 @@ def run(argv: list[str] | None = None) -> int:
                 print(f"pred {pred} {arity}")
         return 0
     if args.command == "eval":
+        from .semantics import eval_fo, model_from_text
+
         chain = _load_chain(args.chain)
         model = model_from_text(_read(args.model))
         phi = universal_closure(_formula_from_args(args))
@@ -262,6 +266,8 @@ def run(argv: list[str] | None = None) -> int:
         print(eval_fo(chain, model, {}, phi))
         return 0
     if args.command == "ground":
+        from .grounding import ground
+
         phi = universal_closure(_formula_from_args(args))
         g = ground(phi, args.size)
         print(pretty(g.formula))
@@ -269,6 +275,9 @@ def run(argv: list[str] | None = None) -> int:
             print(f"legend {var} = {pred}({','.join(str(c) for c in cell)})")
         return 0
     if args.command == "taut":
+        from .grounding import taut_upto_grounded, witness_model
+        from .semantics import model_to_text
+
         chain = _load_chain(args.chain)
         phi = _formula_from_args(args)
         verdict = taut_upto_grounded(chain, phi, args.bound)
@@ -283,10 +292,15 @@ def run(argv: list[str] | None = None) -> int:
             return 1
         return 0
     if args.command == "translate":
+        from . import reductions
+
         phi = _formula_from_args(args)
-        print(pretty(TRANSLATIONS[args.pass_name](phi)))
+        print(pretty(getattr(reductions, TRANSLATIONS[args.pass_name])(phi)))
         return 0
     if args.command == "modelmap":
+        from .reductions import boolean_collapse, model_plus
+        from .semantics import model_from_text, model_to_text
+
         chain = _load_chain(args.chain)
         model = model_from_text(_read(args.model))
         model.validate(chain)
@@ -294,6 +308,8 @@ def run(argv: list[str] | None = None) -> int:
         _write(args.output, model_to_text(fn(chain, model)))
         return 0
     if args.command == "fragment":
+        from .reductions import godel_fragment
+
         chain = _load_chain(args.chain)
         frag = godel_fragment(chain)
         out = chain_to_text(frag.chain)
@@ -302,6 +318,8 @@ def run(argv: list[str] | None = None) -> int:
         _write(args.output, out)
         return 0
     if args.command == "search":
+        from .search import certificate_to_text, find_countermodel
+
         chain = _load_chain(args.chain)
         phi = _formula_from_args(args)
         values = None
@@ -317,12 +335,16 @@ def run(argv: list[str] | None = None) -> int:
         sys.stdout.write(certificate_to_text(cert))
         return 1
     if args.command == "verify":
+        from .search import certificate_from_text, verify_certificate
+
         cert = certificate_from_text(_read(args.certificate))
         chain = _load_chain(args.chain) if args.chain else None
         ok = verify_certificate(cert, chain)
         print("verified" if ok else "verification failed")
         return 0 if ok else 1
     if args.command == "lift":
+        from .search import lift_prop
+
         phi = _formula_from_args(args, kind="prop")
         print(pretty(lift_prop(phi)))
         return 0

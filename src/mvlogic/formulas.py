@@ -14,7 +14,6 @@ possible).  ``->`` associates to the right.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .errors import ParseError, SignatureError
@@ -25,85 +24,170 @@ from .errors import ParseError, SignatureError
 
 
 class Formula:
-    """Base class of all formula nodes.  Nodes are immutable values."""
+    """Base class of all formula nodes.  Nodes are immutable values with
+    the contract of a frozen dataclass: keyword construction, equality
+    between nodes of one type with equal fields, the hash of the field
+    tuple, and a repr that names each field.  Each shape below writes
+    its own ``__init__``, ``__eq__`` and ``__hash__``: every command
+    builds and compares nodes, and a generic version is slower."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
+_set = object.__setattr__
+
+
+class Var(Formula):
+    """Propositional variable."""
+
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
+
+
+class Bottom(Formula):
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(())
+
+
+class Atom(Formula):
+    """First-order atom; arguments are individual variables."""
+
+    __slots__ = ("pred", "args")
+    __match_args__ = ("pred", "args")
+
+    def __init__(self, pred: str, args: tuple[str, ...] = ()):
+        _set(self, "pred", pred)
+        _set(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.pred, self.args) == (other.pred, other.args)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.pred, self.args))
+
+
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.left, self.right))
+
+
+class _Unary(Formula):
+    __slots__ = ("sub",)
+    __match_args__ = ("sub",)
+
+    def __init__(self, sub: Formula):
+        _set(self, "sub", sub)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.sub == other.sub
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.sub,))
+
+
+class _Quantifier(Formula):
+    __slots__ = ("var", "body")
+    __match_args__ = ("var", "body")
+
+    def __init__(self, var: str, body: Formula):
+        _set(self, "var", var)
+        _set(self, "body", body)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.var, self.body) == (other.var, other.body)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.var, self.body))
+
+
+class And(_Binary):
+    """Min-conjunction (lattice meet)."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Var(Formula):
-    """Propositional variable."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class Bottom(Formula):
-    pass
-
-
-@dataclass(frozen=True)
-class Atom(Formula):
-    """First-order atom; arguments are individual variables."""
-
-    pred: str
-    args: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class And(Formula):
-    """Min-conjunction (lattice meet)."""
-
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class StrongAnd(Formula):
+class StrongAnd(_Binary):
     """Monoidal (strong) conjunction."""
 
-    left: Formula
-    right: Formula
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Implies(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Not(Formula):
-    sub: Formula
+class Iff(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Not(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Delta(Formula):
-    sub: Formula
+class Delta(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Forall(Formula):
-    var: str
-    body: Formula
+class Forall(_Quantifier):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Exists(Formula):
-    var: str
-    body: Formula
+class Exists(_Quantifier):
+    __slots__ = ()
 
 
 BINARY = (And, StrongAnd, Implies, Or, Iff)

@@ -20,6 +20,7 @@ from .errors import (
     CapExceededError,
     EvaluationError,
     FormatError,
+    InvalidParameterError,
     SignatureError,
 )
 from .formulas import (
@@ -239,7 +240,11 @@ def check_cap(total: int, what: str) -> None:
     """The one cap check of the exhaustive scans of assignments and
     models: raises CapExceededError upfront if a scan of `total` points
     exceeds the cap (MVLOGIC_ENUM_CAP, default 20e6)."""
-    cap = int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
+    raw = os.environ.get(ENUM_CAP_ENV)
+    try:
+        cap = DEFAULT_ENUM_CAP if raw is None else int(raw)
+    except ValueError:
+        raise InvalidParameterError(f"{ENUM_CAP_ENV} must be an integer, not {raw!r}") from None
     if total > cap:
         raise CapExceededError(f"{total} {what} exceed the enumeration cap {cap}")
 

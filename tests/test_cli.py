@@ -1,5 +1,6 @@
 import functools
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import mvlogic
 from mvlogic import Chain, chain_to_text, delta_expand, make_chain, model_to_text, Model
-from mvlogic.cli import main, run
+from mvlogic.cli import SUITE_NAMES, TRANSLATIONS, main, run
 from mvlogic.suites import SUITES, shipped_chains
 
 from fractions import Fraction as F
@@ -131,10 +132,12 @@ class TestSearchVerify:
     def test_grid_keeps_carrier_values_up_to_denominator(self, tmp_path, monkeypatch):
         # The values p/q with q <= D that the carrier holds, in carrier
         # order: what --grid D searches over.
-        import mvlogic.cli
+        # The search command looks find_countermodel up in mvlogic.search
+        # when it runs.
+        import mvlogic.search
 
         seen = []
-        monkeypatch.setattr(mvlogic.cli, "find_countermodel",
+        monkeypatch.setattr(mvlogic.search, "find_countermodel",
                             lambda chain, phi, size, values: seen.append(values))
         path = tmp_path / "c.chain"
         for chain in shipped_chains(6):
@@ -343,6 +346,37 @@ class TestBadInputExits2:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv, path", [
+        (["chain", "check", "{missing}"], "{missing}"),
+        (["chain", "check", "{dir}"], "{dir}"),
+        (["verify", "--certificate", "{missing}"], "{missing}"),
+        (["chain", "make", "godel", "3", "-o", "{missing}/x.chain"], "{missing}/x.chain"),
+        (["chain", "check", "{random}"], "{random}"),
+    ], ids=["chain-missing", "chain-is-a-directory", "certificate-missing",
+            "output-directory-missing", "chain-random-bytes"])
+    def test_unusable_file_exits_2(self, tmp_path, argv, path, capsys):
+        # Files that cannot be opened, read, decoded or written: the
+        # error line names the path.
+        random_file = tmp_path / "random.chain"
+        random_file.write_bytes(b"\xff" + random.Random(0).randbytes(255))
+        paths = {"missing": str(tmp_path / "absent"), "dir": str(tmp_path),
+                 "random": str(random_file)}
+        with pytest.raises(SystemExit) as exc:
+            main_argv([arg.format(**paths) for arg in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert path.format(**paths) in err
+
+    def test_non_integer_enum_cap_exits_2(self, luk2_file, monkeypatch, capsys):
+        monkeypatch.setenv("MVLOGIC_ENUM_CAP", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main_argv(["taut", "--chain", luk2_file, "--bound", "1",
+                       "--formula", "forall x. P(x)"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "MVLOGIC_ENUM_CAP" in err
+
     def test_deep_formula_subprocess(self):
         result = run_mvlogic(["parse", "--kind", "prop", "--formula", "~" * 5000 + "p"])
         assert result.returncode == 2
@@ -388,6 +422,71 @@ def run_mvlogic(argv, command=(sys.executable, "-m", "mvlogic"), **kwargs):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)}
     return subprocess.run([*command, *argv], capture_output=True, text=True,
                           env=env, **kwargs)
+
+
+# Runs `python -m mvlogic ARG...` as a child would, then writes the
+# mvlogic modules it loaded, one a line, to the file named first.
+LOAD_PROBE = """
+import runpy, sys
+out, sys.argv = sys.argv[1], ["mvlogic"] + sys.argv[2:]
+try:
+    runpy.run_module("mvlogic", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+with open(out, "w") as handle:
+    handle.write("\\n".join(m for m in sys.modules if m.split(".")[0] == "mvlogic"))
+sys.exit(code)
+"""
+
+
+class TestStartupImports:
+    """Each command loads the modules it runs and no others."""
+
+    def loaded(self, tmp_path, argv, code):
+        out = tmp_path / "modules.txt"
+        result = run_mvlogic(argv, command=(sys.executable, "-c", LOAD_PROBE, str(out)))
+        assert result.returncode == code, result.stderr
+        return result, set(out.read_text().split())
+
+    def test_suite_names_are_the_suites(self):
+        assert SUITE_NAMES == tuple(sorted(SUITES))
+
+    def test_translations_name_reductions_functions(self):
+        import mvlogic.reductions as reductions
+
+        for pass_name, attr in TRANSLATIONS.items():
+            assert callable(getattr(reductions, attr)), pass_name
+
+    def test_chain_commands(self, tmp_path, luk2_file):
+        never = {"mvlogic.grounding", "mvlogic.search", "mvlogic.reductions",
+                 "mvlogic.suites", "mvlogic.corpus"}
+        _, make = self.loaded(tmp_path, ["chain", "make", "godel", "3", "-o",
+                                         str(tmp_path / "g3.chain")], 0)
+        _, check = self.loaded(tmp_path, ["chain", "check", luk2_file], 0)
+        assert "mvlogic.chains" in make and "mvlogic.chains" in check
+        assert not make & never and not check & never
+
+    def test_taut_search_verify(self, tmp_path, luk2_file):
+        never = {"mvlogic.reductions", "mvlogic.suites", "mvlogic.corpus"}
+        formula = ["--formula", r"forall x. (P(x) \/ ~P(x))"]
+        _, taut = self.loaded(tmp_path, ["taut", "--chain", luk2_file, "--bound", "1",
+                                         *formula], 1)
+        result, search = self.loaded(tmp_path, ["search", "--chain", luk2_file,
+                                                "--max-size", "1", *formula], 1)
+        cert = tmp_path / "c.cert"
+        cert.write_text(result.stdout)
+        _, verify = self.loaded(tmp_path, ["verify", "--certificate", str(cert)], 0)
+        assert "mvlogic.grounding" in taut
+        assert "mvlogic.search" in search and "mvlogic.search" in verify
+        for modules in (taut, search, verify):
+            assert not modules & never, modules & never
+
+    def test_import_package_alone(self):
+        code = ("import sys, mvlogic; "
+                "print(*sorted(m for m in sys.modules if m.startswith('mvlogic.')))")
+        result = run_mvlogic(["-c", code], command=(sys.executable,))
+        assert result.returncode == 0, result.stderr
+        assert set(result.stdout.split()) <= {"mvlogic.errors"}
 
 
 class TestConsoleScript:

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import copy
+import pickle
 import random
 
 from mvlogic import (
@@ -227,6 +229,15 @@ class TestNodeContract:
         for node, _ in self.NODES:
             with pytest.raises(AttributeError):
                 setattr(node, field, None)
+            with pytest.raises(AttributeError):
+                delattr(node, field)
+
+    def test_copy_and_pickle(self):
+        phi = parse(r"forall x. exists y. (R(x,y) & !Q(y) <-> ~bot \/ P(x))")
+        for node in [phi] + [node for node, _ in self.NODES]:
+            assert copy.copy(node) == node
+            assert copy.deepcopy(node) == node
+            assert pickle.loads(pickle.dumps(node)) == node
 
     def test_atom_args_default(self):
         assert Atom("P").args == ()
