@@ -27,9 +27,10 @@ class Formula:
     """Base class of all formula nodes.  Nodes are immutable values with
     the contract of a frozen dataclass: keyword construction, equality
     between nodes of one type with equal fields, the hash of the field
-    tuple, and a repr that names each field.  Each shape below writes
-    its own ``__init__``, ``__eq__`` and ``__hash__``: every command
-    builds and compares nodes, and a generic version is slower."""
+    tuple, and a repr that names each field.  All of these read the
+    fields from ``__match_args__``; each shape writes only its own
+    ``__init__``, because every checker builds nodes and none compares
+    or hashes them."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
@@ -40,12 +41,23 @@ class Formula:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+        return type(self), self._fields()
 
 
 _set = object.__setattr__
@@ -60,25 +72,9 @@ class Var(Formula):
     def __init__(self, name: str):
         _set(self, "name", name)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name,))
-
 
 class Bottom(Formula):
     __slots__ = ()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return True
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(())
 
 
 class Atom(Formula):
@@ -91,14 +87,6 @@ class Atom(Formula):
         _set(self, "pred", pred)
         _set(self, "args", args)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.pred, self.args) == (other.pred, other.args)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.pred, self.args))
-
 
 class _Binary(Formula):
     __slots__ = ("left", "right")
@@ -108,14 +96,6 @@ class _Binary(Formula):
         _set(self, "left", left)
         _set(self, "right", right)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.left, self.right) == (other.left, other.right)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.left, self.right))
-
 
 class _Unary(Formula):
     __slots__ = ("sub",)
@@ -123,14 +103,6 @@ class _Unary(Formula):
 
     def __init__(self, sub: Formula):
         _set(self, "sub", sub)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.sub == other.sub
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.sub,))
 
 
 class _Quantifier(Formula):
@@ -140,14 +112,6 @@ class _Quantifier(Formula):
     def __init__(self, var: str, body: Formula):
         _set(self, "var", var)
         _set(self, "body", body)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.var, self.body) == (other.var, other.body)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.var, self.body))
 
 
 class And(_Binary):
@@ -190,14 +154,12 @@ class Exists(_Quantifier):
     __slots__ = ()
 
 
-BINARY = (And, StrongAnd, Implies, Or, Iff)
-UNARY = (Not, Delta)
-QUANT = (Forall, Exists)
+# The shapes, read as `type(x) in BINARY`: set lookups on the checkers' path.
+BINARY = frozenset({And, StrongAnd, Implies, Or, Iff})
+UNARY = frozenset({Not, Delta})
+QUANT = frozenset({Forall, Exists})
 
 BOT = Bottom()
-
-
-_BINARY_TYPES, _UNARY_TYPES, _QUANT_TYPES = map(frozenset, (BINARY, UNARY, QUANT))
 
 
 def subformulas(phi: Formula) -> Iterator[Formula]:
@@ -206,13 +168,13 @@ def subformulas(phi: Formula) -> Iterator[Formula]:
     while stack:
         node = stack.pop()
         yield node
-        t = type(node)  # set lookups: this walk is on the tautology check's path
-        if t in _BINARY_TYPES:
+        t = type(node)
+        if t in BINARY:
             stack.append(node.right)
             stack.append(node.left)
-        elif t in _UNARY_TYPES:
+        elif t in UNARY:
             stack.append(node.sub)
-        elif t in _QUANT_TYPES:
+        elif t in QUANT:
             stack.append(node.body)
 
 
@@ -229,16 +191,17 @@ def free_variables(phi: Formula) -> list[str]:
 
 
 def _walk_free(phi: Formula, bound: frozenset[str], acc: list[str]) -> None:
-    if isinstance(phi, Atom):
+    t = type(phi)
+    if t is Atom:
         for a in phi.args:
             if a not in bound and a not in acc:
                 acc.append(a)
-    elif isinstance(phi, BINARY):
+    elif t in BINARY:
         _walk_free(phi.left, bound, acc)
         _walk_free(phi.right, bound, acc)
-    elif isinstance(phi, UNARY):
+    elif t in UNARY:
         _walk_free(phi.sub, bound, acc)
-    elif isinstance(phi, QUANT):
+    elif t in QUANT:
         _walk_free(phi.body, bound | {phi.var}, acc)
 
 
@@ -323,11 +286,11 @@ def rebuild(phi: Formula, fn) -> Formula:
     """phi with fn applied to each immediate subformula; a leaf is
     returned unchanged."""
     t = type(phi)
-    if t in _BINARY_TYPES:
+    if t in BINARY:
         return t(fn(phi.left), fn(phi.right))
-    if t in _UNARY_TYPES:
+    if t in UNARY:
         return t(fn(phi.sub))
-    if t in _QUANT_TYPES:
+    if t in QUANT:
         return t(phi.var, fn(phi.body))
     return phi
 
@@ -363,11 +326,11 @@ def pretty(phi: Formula) -> str:
         if phi.args:
             return f"{phi.pred}({','.join(phi.args)})"
         return phi.pred
-    if t in _UNARY_TYPES:
+    if t in UNARY:
         return f"{_SPELLING[t]}{pretty(phi.sub)}"
-    if t in _BINARY_TYPES:
+    if t in BINARY:
         return f"({pretty(phi.left)} {_SPELLING[t]} {pretty(phi.right)})"
-    if t in _QUANT_TYPES:
+    if t in QUANT:
         return f"({_SPELLING[t]} {phi.var}. {pretty(phi.body)})"
     raise TypeError(f"not a formula node: {phi!r}")
 

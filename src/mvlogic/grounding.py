@@ -22,12 +22,11 @@ from .formulas import (
     Atom,
     BINARY,
     Bottom,
-    Delta,
-    Exists,
     Forall,
     Formula,
-    Not,
     Or,
+    QUANT,
+    UNARY,
     Var,
     free_variables,
     universal_closure,
@@ -75,11 +74,11 @@ def _ground(phi: Formula, n: int, env: dict[str, int], legend) -> Formula:
         return Var(name)
     if t is Bottom:
         return phi
-    if isinstance(phi, BINARY):
+    if t in BINARY:
         return t(_ground(phi.left, n, env, legend), _ground(phi.right, n, env, legend))
-    if t is Not or t is Delta:
+    if t in UNARY:
         return t(_ground(phi.sub, n, env, legend))
-    if t is Forall or t is Exists:
+    if t in QUANT:
         combine = And if t is Forall else Or
         parts = []
         for i in range(1, n + 1):
