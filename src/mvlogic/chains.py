@@ -511,7 +511,11 @@ def satisfies_identity(chain: BaseChain, identity) -> bool:
     from .semantics import is_taut_prop  # local import to keep layering acyclic
 
     c = require_finite(chain)
-    phi = IDENTITIES[identity] if isinstance(identity, str) else identity
+    phi = identity
+    if isinstance(identity, str):
+        if identity not in IDENTITIES:
+            raise InvalidParameterError(f"unknown identity schema {identity!r}")
+        phi = IDENTITIES[identity]
     ok, _ = is_taut_prop(c, phi)
     return ok
 

@@ -155,16 +155,21 @@ def taut_upto_direct(chain: BaseChain, phi: Formula, bound: int) -> Verdict:
 
 def verify_certificate(cert: Certificate, chain: BaseChain | None = None) -> bool:
     """Re-evaluate the certificate; True iff the value matches exactly
-    and is strictly below 1.  A chain disagreeing with the recorded
-    hash (a finite chain needs a real hash, not "-"), a model that is
-    not a total model over the chain's carrier, or a valuation that
-    does not send exactly the formula's free variables into the domain
-    is a hard error."""
+    and is strictly below 1.  A chain other than the one the
+    certificate names is a hard error: a finite chain must match the
+    recorded hash (a real hash, not "-"), and a rational-family chain
+    must carry the recorded name and the hash "-".  So is a model that
+    is not a total model over the chain's carrier, or a valuation that
+    does not send exactly the formula's free variables into the domain."""
     if chain is None:
         if cert.chain_text is None:
             raise CertificateError("no chain given and no inline copy present")
         chain = chain_from_text(cert.chain_text, cert.chain_name)
-    if isinstance(chain, Chain) and cert.chain_hash != chain.table_hash():
+    if isinstance(chain, Chain):
+        same = cert.chain_hash == chain.table_hash()
+    else:
+        same = cert.chain_hash == "-" and cert.chain_name == chain.name
+    if not same:
         raise CertificateError(
             f"chain hash mismatch: certificate was issued for {cert.chain_name}"
         )

@@ -359,6 +359,10 @@ class TestIdentities:
     def test_string_lookup(self):
         assert satisfies_identity(make_chain("nm", 4), "wnm")
 
+    def test_unknown_schema_is_named(self):
+        with pytest.raises(InvalidParameterError, match="unknown identity schema 'nope'"):
+            satisfies_identity(make_chain("nm", 4), "nope")
+
     def test_rational_family_rejected(self):
         with pytest.raises(UnsupportedChainError):
             satisfies_identity(make_rational_chain("lukasiewicz"), IDENTITIES["wnm"])

@@ -295,6 +295,13 @@ class TestBadInputExits2:
             "repeatedvar": write("rv.cert", good.replace("valuation\n", "valuation x=99 x=7\n")),
             "boundvar": write("bv.cert", good.replace("valuation\n", "valuation x=1\n")),
             "absentvar": write("av.cert", good.replace("valuation\n", "valuation zz=-3\n")),
+            "half": write("h.model", "mtlmodel 1\ndomain 1\npred P 1\n1 1/2\n"),
+            "repeatedrow": write("rr.model", "mtlmodel 1\ndomain 2\npred P 1\n1 1/2\n1 1/2\n"),
+            "outofrange": write("or.model", "mtlmodel 1\ndomain 1\npred P 1\n2 1/2\n"),
+            "model2": write("m2.model", "mtlmodel 2\ndomain 1\npred P 1\n1 1/2\n"),
+            "bottom13": write("b13.chain", "mtlchain 1\nsize 2\nlabels 1/3 1\ndelta 0\n0 0\n0 1\n"),
+            "cert2": write("c2.cert", good.replace("mtlcert 1", "mtlcert 2")),
+            "nomodel": write("nm.cert", good.replace(model, "")),
         }
 
     @pytest.mark.parametrize("argv", [
@@ -331,6 +338,14 @@ class TestBadInputExits2:
         ["verify", "--certificate", "{repeatedvar}", "--chain", "{luk2}"],
         ["verify", "--certificate", "{boundvar}", "--chain", "{luk2}"],
         ["verify", "--certificate", "{absentvar}", "--chain", "{luk2}"],
+        ["eval", "--chain", "{luk2}", "--model", "{half}", "--formula", "Q(x)"],
+        ["eval", "--chain", "{luk2}", "--model", "{half}", "--formula", "P(x,y)"],
+        ["eval", "--chain", "{luk2}", "--model", "{repeatedrow}", "--formula", "P(x)"],
+        ["eval", "--chain", "{luk2}", "--model", "{outofrange}", "--formula", "P(x)"],
+        ["eval", "--chain", "{luk2}", "--model", "{model2}", "--formula", "P(x)"],
+        ["chain", "check", "{bottom13}"],
+        ["verify", "--certificate", "{cert2}", "--chain", "{luk2}"],
+        ["verify", "--certificate", "{nomodel}", "--chain", "{luk2}"],
     ], ids=["max-size-0", "grid-0", "deep", "size-0", "label-5", "size-3-9",
             "trailing-garbage", "forged",
             "no-hash", "eval", "modelmap", "value-1/0", "negative-arity",
@@ -339,7 +354,10 @@ class TestBadInputExits2:
             "extra-value-token", "second-value", "second-formula", "second-valuation",
             "second-chain-line", "second-model", "second-inline-chain", "valuations",
             "valuation-repeats-a-variable", "valuation-of-a-bound-variable",
-            "valuation-of-an-absent-variable"])
+            "valuation-of-an-absent-variable", "no-table-for-the-predicate",
+            "arity-differs-from-the-table", "repeated-row", "argument-outside-the-domain",
+            "model-header-2", "bottom-label-1/3", "certificate-header-2",
+            "no-model-section"])
     def test_exit_2(self, files, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main_argv([arg.format(**files) for arg in argv])

@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from mvlogic import Exists, is_taut_prop, make_chain, parse, suites
+from mvlogic import Exists, find_countermodel, is_taut_prop, make_chain, parse, suites
 from mvlogic import formulas, grounding
 from mvlogic.suites import SUITES
 
@@ -69,14 +69,30 @@ def test_lemma_luk1_catches_a_guard_that_is_always_1():
                     r"\S+ .+: \S+ in A\+ is (True|False) but collapse gives \S+")
 
 
-def test_is_taut_prop_rechecks_its_witness():
-    # The masks read the cached tables; eval_prop reads the residuum
-    # table, where 1/2 -> 1/2 is still 1.
+def _corrupted_residuum():
+    """lukasiewicz(2) whose cached residuum table, which the masks read,
+    has 1/2 -> 1/2 = 0; eval_prop and eval_fo still read 1."""
     chain = make_chain("lukasiewicz", 2)
     tables = chain.operation_tables
     tables["res"] = tuple(
         tuple(0 if (i, j) == (1, 1) else x for j, x in enumerate(row))
         for i, row in enumerate(tables["res"])
     )
+    return chain
+
+
+def test_is_taut_prop_rechecks_its_witness():
     with pytest.raises(AssertionError, match="differs from eval_prop"):
-        is_taut_prop(chain, parse("p -> p", kind="prop"))
+        is_taut_prop(_corrupted_residuum(), parse("p -> p", kind="prop"))
+
+
+def test_direct_checker_rechecks_its_witness():
+    with pytest.raises(AssertionError, match="mask value 0 differs from eval_fo value 1"):
+        find_countermodel(_corrupted_residuum(), parse("forall x. (P(x) -> P(x))"), 1)
+
+
+def test_model_scan_rechecks_each_failure():
+    chain = _corrupted_residuum()
+    with mock.patch.object(suites, "shipped_chains", lambda max_size=12: [chain]), \
+            pytest.raises(AssertionError, match="masks and eval_fo disagree"):
+        SUITES["fo-axioms"](max_n=1, max_chain_size=3)

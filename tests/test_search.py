@@ -20,6 +20,7 @@ from mvlogic import (
     find_countermodel,
     lift_prop,
     make_chain,
+    make_rational_chain,
     make_wnm_chain,
     parse,
     pretty,
@@ -111,6 +112,20 @@ class TestVerify:
         cert = find_countermodel(L2, LEM, 1)
         with pytest.raises(CertificateError):
             verify_certificate(dataclasses.replace(cert, chain_hash="-"))
+
+    def test_rational_chain_must_be_the_named_one(self):
+        # A rational-family chain has no table to hash, so its name and
+        # the hash "-" are what identify it.
+        luk = make_rational_chain("lukasiewicz")
+        cert = find_countermodel(luk, LEM, 1, [F(0), F(1, 2), F(1)])
+        assert (cert.chain_name, cert.chain_hash) == ("lukasiewicz[0,1]", "-")
+        assert verify_certificate(cert, luk)
+        for family in ("godel", "nm"):
+            with pytest.raises(CertificateError):
+                verify_certificate(cert, make_rational_chain(family))
+        finite = find_countermodel(make_chain("godel", 3), LEM, 1)
+        with pytest.raises(CertificateError):
+            verify_certificate(finite, make_rational_chain("godel"))
 
     def test_text_round_trip(self):
         cert = find_countermodel(L3, LEM, 2)
