@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from . import formulas
 from .errors import (
@@ -607,7 +607,8 @@ def ordinal_sum(first: BaseChain, second: BaseChain) -> Chain:
 
 
 # ---------------------------------------------------------------------------
-# Line-oriented chain file format
+# Line-oriented file formats.  Lines reads the chain, model and
+# certificate files.  The chain file format:
 #
 #   mtlchain 1
 #   size k
@@ -619,6 +620,63 @@ def ordinal_sum(first: BaseChain, second: BaseChain) -> Chain:
 #                           fragment command writes it)
 
 
+class Lines:
+    """A file's lines, read in order past blank ones.  Each error names
+    the line it rejects, counted from 1 over the whole file."""
+
+    def __init__(self, lines: list[str], start: int = 0):
+        self.lines = lines
+        self.i = start  # the next line; after a read, the number of the line read
+
+    def more(self) -> bool:
+        while self.i < len(self.lines) and not self.lines[self.i].strip():
+            self.i += 1
+        return self.i < len(self.lines)
+
+    def line(self, what: str = "a line") -> str:
+        """The next non-blank line, stripped."""
+        while self.i < len(self.lines):
+            self.i += 1
+            line = self.lines[self.i - 1].strip()
+            if line:
+                return line
+        self.error(f"expected {what}, got the end")
+
+    def take(self, key: str, count: int, what: str) -> list[str]:
+        """The next line's fields, led by the words of `key`; `count` of them unless 0."""
+        fields = self.line(what).split()
+        head = key.split()
+        if fields[: len(head)] != head or count and len(fields) != count:
+            self.error(f"expected {what}, got {' '.join(fields)!r}")
+        return fields
+
+    def numbers(self, kind: type, tokens: list[str], span: range | None = None,
+                what: str = "entry") -> tuple:
+        """The tokens as ints or Fractions (`kind`), each in `span` if given."""
+        try:
+            values = tuple(map(kind, tokens))
+        except (ValueError, ZeroDivisionError):
+            self.error(f"expected {kind.__name__} values, got {' '.join(tokens)!r}")
+        if span is not None:
+            for v in values:
+                if v not in span:
+                    self.error(f"{what} {v} outside {span.start}..{span.stop - 1}")
+        return values
+
+    def section(self, end: str) -> Lines:
+        """The lines up to the exact line `end`, numbered as in the file."""
+        try:
+            stop = self.lines.index(end, self.i)
+        except ValueError:
+            self.error(f"no line {end!r} ends this section")
+        part = Lines(self.lines[:stop], self.i)
+        self.i = stop + 1
+        return part
+
+    def error(self, msg: str) -> NoReturn:
+        raise FormatError(f"line {max(self.i, 1)}: {msg}")
+
+
 def chain_to_text(chain: BaseChain) -> str:
     """The chain file text, serialized once per chain object."""
     return require_finite(chain)._text
@@ -627,35 +685,24 @@ def chain_to_text(chain: BaseChain) -> str:
 def chain_from_text(text: str, name: str = "loaded") -> Chain:
     """Parse and validate a chain file; any law violation is a hard
     error naming the law and a witness triple."""
-    fields = [line.split() for line in text.splitlines() if line.split()]
-    if not fields or fields[0] != ["mtlchain", "1"]:
-        raise FormatError("expected header 'mtlchain 1'")
-    try:
-        if fields[1][0] != "size" or len(fields[1]) != 2:
-            raise FormatError("expected 'size k'")
-        k = int(fields[1][1])
-        if fields[2][0] != "labels":
-            raise FormatError("expected 'labels ...'")
-        labels = tuple(Fraction(tok) for tok in fields[2][1:])
-        if fields[3] not in (["delta", "0"], ["delta", "1"]):
-            raise FormatError("expected 'delta 0|1'")
-        delta = fields[3][1] == "1"
-        rows = [tuple(int(tok) for tok in row) for row in fields[4 : 4 + k]]
-        for line in fields[4 + k :]:
-            if (len(line), line[0], line[2]) != (4, "embed", "->") or Fraction(line[1]) not in labels:
-                raise FormatError(
-                    f"expected 'embed A -> B' with A a label after the table, got {' '.join(line)!r}"
-                )
-            Fraction(line[3])  # B: a value of the chain this one was cut from
-    except (IndexError, ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"malformed chain file: {exc}") from exc
+    r = Lines(text.splitlines())
+    r.take("mtlchain 1", 2, "header 'mtlchain 1'")
+    (k,) = r.numbers(int, r.take("size", 2, "'size k'")[1:])
     if k < 1:
-        raise FormatError("a chain needs size >= 1")
-    if len(labels) != k or len(rows) != k or any(len(r) != k for r in rows):
-        raise FormatError("table dimensions do not match the declared size")
-    if any(not 0 <= i < k for r in rows for i in r):
-        raise FormatError("star table entry out of range")
-    chain = Chain(name, labels, tuple(rows), delta)
+        r.error("a chain needs size >= 1")
+    labels = r.numbers(Fraction, r.take("labels", 0, "'labels ...'")[1:])
+    if len(labels) != k:
+        r.error(f"{len(labels)} labels for size {k}")
+    delta = r.take("delta", 2, "'delta 0|1'")[1]
+    if delta not in ("0", "1"):
+        r.error("expected 'delta 0|1'")
+    rows = [r.numbers(int, r.take("", k, f"{k} table entries"), range(k)) for _ in range(k)]
+    while r.more():
+        embed = r.take("embed", 4, "'embed A -> B' after the table")
+        a, _ = r.numbers(Fraction, embed[1::2])  # B: a value of the chain this one was cut from
+        if embed[2] != "->" or a not in labels:
+            r.error(f"expected 'embed A -> B' with A a label, got {' '.join(embed)!r}")
+    chain = Chain(name, labels, tuple(rows), delta == "1")
     report = check_chain(chain)
     if not report.all_pass:
         v = report.violations[0]

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .chains import BaseChain, Chain, chain_from_text, chain_to_text, require_finite
-from .errors import CertificateError, FormatError, InvalidParameterError
+from .chains import BaseChain, Chain, Lines, chain_from_text, chain_to_text, require_finite
+from .errors import CertificateError, InvalidParameterError
 from .formulas import (
     Atom,
     Formula,
@@ -34,7 +34,7 @@ from .formulas import (
     universal_closure,
 )
 from .grounding import Verdict
-from .semantics import Model, enumerate_models, eval_fo, model_from_text, model_to_text
+from .semantics import Model, enumerate_models, eval_fo, model_from_lines, model_to_text
 
 
 @dataclass(frozen=True)
@@ -235,55 +235,40 @@ def certificate_to_text(cert: Certificate) -> str:
 
 
 def certificate_from_text(text: str) -> Certificate:
-    lines = text.splitlines()
-    if not lines or lines[0].split() != ["mtlcert", "1"]:
-        raise FormatError("expected header 'mtlcert 1'")
-    chain_name = chain_hash = formula_text = None
-    chain_text = None
-    model = None
+    r = Lines(text.splitlines(), 1)  # the header must be line 1
+    if "".join(r.lines[:1]).split() != ["mtlcert", "1"]:
+        r.error("expected header 'mtlcert 1'")
+    chain_name = chain_hash = formula_text = chain_text = model = value = None
     valuation: dict[str, int] = {}
-    value = None
     seen: set[str] = set()
-    i = 1
-    try:
-        while i < len(lines):
-            line = lines[i].strip()
-            i += 1
-            if not line:
-                continue
-            key, _, rest = line.partition(" ")
-            if key == "begin":
-                key = line
-            if key in seen:
-                raise FormatError(f"certificate repeats {key!r}")
-            seen.add(key)
-            if key == "chain":
-                # The name may hold spaces; the hash never does.
-                chain_name, chain_hash = rest.rsplit(None, 1)
-            elif key == "formula" and rest:
-                formula_text = rest
-            elif key == "begin chain" or key == "begin model":
-                j = lines.index("end " + rest, i)
-                body = "\n".join(lines[i:j]) + "\n"
-                i = j + 1
-                if rest == "chain":
-                    chain_text = body
-                else:
-                    model = model_from_text(body)
-            elif key == "valuation":
-                for pair in rest.split():
-                    k, v = pair.split("=")
-                    if k in valuation:
-                        raise FormatError(f"valuation repeats {k!r}")
-                    valuation[k] = int(v)
-            elif key == "value" and len(rest.split()) == 1:
-                value = Fraction(rest)
-            else:
-                raise FormatError(f"unexpected line {line!r}")
-    except (ValueError, IndexError, ZeroDivisionError) as exc:
-        raise FormatError(f"malformed certificate: {exc}") from exc
-    if None in (chain_name, chain_hash, formula_text, model, value):
-        raise FormatError("certificate is missing a required section")
-    return Certificate(
-        chain_name, chain_hash, formula_text, model, valuation, value, chain_text
-    )
+    while r.more():
+        line = r.line()
+        key, _, rest = line.partition(" ")
+        if key == "begin":
+            key = line
+        if key in seen:
+            r.error(f"certificate repeats {key!r}")
+        seen.add(key)
+        if key == "chain" and len(words := rest.rsplit(None, 1)) == 2:
+            # The name may hold spaces; the hash never does.
+            chain_name, chain_hash = words
+        elif key == "formula" and rest:
+            formula_text = rest
+        elif key == "begin chain":
+            part = r.section("end chain")
+            chain_text = "\n".join(part.lines[part.i :]) + "\n"
+        elif key == "begin model":
+            model = model_from_lines(r.section("end model"))
+        elif key == "valuation":
+            for pair in rest.split():
+                k, _, v = pair.partition("=")
+                if k in valuation:
+                    r.error(f"valuation repeats {k!r}")
+                valuation[k] = r.numbers(int, [v])[0]
+        elif key == "value" and len(rest.split()) == 1:
+            value = r.numbers(Fraction, rest.split())[0]
+        else:
+            r.error(f"unexpected line {line!r}")
+    if None in (chain_name, formula_text, model, value):
+        r.error("certificate is missing a required section")
+    return Certificate(chain_name, chain_hash, formula_text, model, valuation, value, chain_text)

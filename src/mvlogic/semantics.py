@@ -15,14 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .chains import BaseChain, require_finite
-from .errors import (
-    CapExceededError,
-    EvaluationError,
-    FormatError,
-    InvalidParameterError,
-    SignatureError,
-)
+from .chains import BaseChain, Lines, require_finite
+from .errors import CapExceededError, EvaluationError, InvalidParameterError, SignatureError
 from .formulas import (
     And,
     Atom,
@@ -294,40 +288,29 @@ def model_to_text(model: Model) -> str:
 
 
 def model_from_text(text: str) -> Model:
-    rows = [line.split() for line in text.splitlines() if line.split()]
-    if not rows or rows[0] != ["mtlmodel", "1"]:
-        raise FormatError("expected header 'mtlmodel 1'")
-    try:
-        if rows[1][0] != "domain" or len(rows[1]) != 2:
-            raise FormatError("expected 'domain n'")
-        n = int(rows[1][1])
-        tables: dict[str, dict[tuple[int, ...], Fraction]] = {}
-        i = 2
-        while i < len(rows):
-            if rows[i][0] != "pred" or len(rows[i]) != 3:
-                raise FormatError(f"expected 'pred NAME ARITY', got {rows[i]}")
-            name, arity = rows[i][1], int(rows[i][2])
-            if arity < 0:
-                raise FormatError(f"predicate {name} has negative arity {arity}")
-            if name in tables:
-                raise FormatError(f"predicate {name} has two tables")
-            i += 1
-            cells: dict[tuple[int, ...], Fraction] = {}
-            for _ in range(n**arity):
-                row = rows[i]
-                if len(row) != arity + 1:
-                    raise FormatError(f"expected {arity} arguments and a value, got {row}")
-                args = tuple(int(tok) for tok in row[:arity])
-                cells[args] = Fraction(row[arity])
-                i += 1
-            tables[name] = cells
-    except (IndexError, ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"malformed model file: {exc}") from exc
+    """Parse a model file: per predicate, one row per tuple over 1..n, in any order."""
+    return model_from_lines(Lines(text.splitlines()))
+
+
+def model_from_lines(r: Lines) -> Model:
+    """model_from_text on a file's lines, or on a certificate's section."""
+    r.take("mtlmodel 1", 2, "header 'mtlmodel 1'")
+    (n,) = r.numbers(int, r.take("domain", 2, "'domain n'")[1:])
     if n < 1:
-        raise FormatError("domain size must be >= 1")
-    for name, cells in tables.items():
-        arity = len(next(iter(cells), ()))
-        expected = set(itertools.product(range(1, n + 1), repeat=arity))
-        if set(cells) != expected:
-            raise FormatError(f"table for {name} does not cover all tuples")
+        r.error("domain size must be >= 1")
+    tables: dict[str, dict[tuple[int, ...], Fraction]] = {}
+    while r.more():
+        _, name, arity = r.take("pred", 3, "'pred NAME ARITY'")
+        (arity,) = r.numbers(int, [arity])
+        if arity < 0:
+            r.error(f"predicate {name} has negative arity {arity}")
+        if name in tables:
+            r.error(f"predicate {name} has two tables")
+        tables[name] = cells = {}
+        for _ in range(n**arity):
+            row = r.take("", arity + 1, f"{arity} arguments and a value")
+            args = r.numbers(int, row[:arity], range(1, n + 1), "argument")
+            if args in cells:
+                r.error(f"repeated row {' '.join(map(str, args))}")
+            cells[args] = r.numbers(Fraction, row[arity:])[0]
     return Model.from_dict(n, tables)

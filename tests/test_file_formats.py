@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -110,8 +111,16 @@ REJECTED = [
 
 @pytest.mark.parametrize("text", [r[1] for r in REJECTED], ids=[r[0] for r in REJECTED])
 def test_rejected(text):
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as exc:
         certificate_from_text(text)
+    _names_a_line(exc.value, text)
+
+
+def _names_a_line(exc, text, prefix=""):
+    """A FormatError names the line of `text` it rejects."""
+    found = re.match(prefix + r"line (\d+): ", str(exc))
+    assert found, str(exc)
+    assert 1 <= int(found[1]) <= max(1, len(text.splitlines())), str(exc)
 
 
 def test_broken_tables_stay_rejected():
@@ -158,6 +167,8 @@ def _read_cert(text):
     try:
         verified = verify_certificate(cert)
     except MvlogicError as exc:
+        if isinstance(exc, FormatError):
+            _names_a_line(exc, cert.chain_text)
         verified = type(exc).__name__
     return cert, verified
 
@@ -171,8 +182,8 @@ READERS = [
 
 def test_mutations_parse_as_pinned():
     """Seeded mutations: only MvlogicError escapes a reader (or the
-    certificate check), and the inputs that parse, with what they parse
-    to, are the pinned ones."""
+    certificate check), every FormatError names a line of the file, and
+    the inputs that parse, with what they parse to, are the pinned ones."""
     rng = random.Random(21)
     digest = hashlib.sha256()
     accepted = []
@@ -183,6 +194,8 @@ def test_mutations_parse_as_pinned():
             try:
                 value = reader(text)
             except MvlogicError as exc:
+                if isinstance(exc, FormatError):
+                    _names_a_line(exc, text)
                 digest.update(type(exc).__name__.encode())
                 continue
             count += 1

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from mvlogic import (
     CapExceededError,
     EvaluationError,
+    FormatError,
     Model,
     UnsupportedChainError,
     count_models,
@@ -254,3 +256,11 @@ class TestModelFiles:
         m = Model.from_dict(1, {"Q": {(): F(1)}})
         again = model_from_text(model_to_text(m))
         assert again.value("Q", ()) == F(1)
+
+    @pytest.mark.parametrize("text, message", [
+        ("mtlmodel 1\ndomain 2\npred P 1\n1 1/2\n1 1/2\n", "line 5: repeated row 1"),
+        ("mtlmodel 1\ndomain 1\npred P 1\n2 1/2\n", "line 4: argument 2 outside 1..1"),
+    ], ids=["repeated-row", "argument-outside-the-domain"])
+    def test_row_faults_are_named(self, text, message):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            model_from_text(text)
