@@ -31,6 +31,7 @@ from .formulas import (
     Or,
     StrongAnd,
     Var,
+    has_delta,
     pretty,
     prop_variables,
 )
@@ -203,16 +204,20 @@ def is_taut_prop(
     Returns (True, None) or (False, witness) where the witness is the
     lexicographically first failing assignment (variables sorted by
     name, values in carrier order), re-checked with eval_prop.  Raises
-    CapExceededError upfront if the assignment count exceeds the
-    enumeration cap.
+    CapExceededError upfront, before compiling, if the assignment count
+    exceeds the enumeration cap (a missing delta is reported first).
     """
     from . import masks  # masks builds on this module's Model
 
     c = require_finite(chain)
     space = masks.Space.of_variables(sorted(prop_variables(phi)), c.size)
-    program = masks.Program(c, phi, space, tuple(range(c.size)))
-    check_cap(space.size, "assignments")
-    found = masks.first_rank(space, program)
+    try:
+        check_cap(space.size, "assignments")
+    except CapExceededError:
+        if has_delta(phi):
+            c.delta(c.top)  # raises on a chain without delta: that error comes first
+        raise
+    found = masks.first_rank(space, masks.Program(c, phi, space, tuple(range(c.size))))
     if found is None:
         return True, None
     rank, index = found

@@ -26,6 +26,7 @@ from mvlogic import (
     signature_of,
     universal_closure,
 )
+from mvlogic import masks
 from mvlogic.corpus import fo_axiom_instances, random_formula, random_propositional
 
 
@@ -222,6 +223,18 @@ class TestEnumerateModels:
         monkeypatch.setenv("MVLOGIC_ENUM_CAP", "10")
         with pytest.raises(CapExceededError, match="^256 assignments exceed the enumeration cap 10$"):
             is_taut_prop(make_chain("boolean"), phi)
+
+    def test_cap_is_checked_before_compiling(self, monkeypatch):
+        # 3^12 assignments on godel(3): no program is built over the cap.
+        def no_program(*args):
+            raise AssertionError("a Program was built over the cap")
+
+        monkeypatch.setattr(masks, "Program", no_program)
+        monkeypatch.setenv("MVLOGIC_ENUM_CAP", "10")
+        phi = parse(" /\\ ".join(f"p{i}" for i in range(12)), kind="prop")
+        with pytest.raises(CapExceededError,
+                           match="^531441 assignments exceed the enumeration cap 10$"):
+            is_taut_prop(make_chain("godel", 3), phi)
 
     def test_missing_delta_is_reported_before_the_cap(self, monkeypatch):
         # 3^30 assignments are far over the cap, but the chain's missing
