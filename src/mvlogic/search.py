@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .chains import BaseChain, Chain, Lines, chain_from_text, chain_to_text, require_finite
-from .errors import CertificateError, InvalidParameterError
+from .errors import CertificateError, FormatError, InvalidParameterError
 from .formulas import (
     Atom,
     Formula,
@@ -164,7 +164,10 @@ def verify_certificate(cert: Certificate, chain: BaseChain | None = None) -> boo
     if chain is None:
         if cert.chain_text is None:
             raise CertificateError("no chain given and no inline copy present")
-        chain = chain_from_text(cert.chain_text, cert.chain_name)
+        try:
+            chain = chain_from_text(cert.chain_text, cert.chain_name)
+        except FormatError as exc:  # its line numbers count within the copy
+            raise FormatError(f"inline chain, {exc}") from None
     if isinstance(chain, Chain):
         same = cert.chain_hash == chain.table_hash()
     else:

@@ -168,7 +168,7 @@ def _read_cert(text):
         verified = verify_certificate(cert)
     except MvlogicError as exc:
         if isinstance(exc, FormatError):
-            _names_a_line(exc, cert.chain_text)
+            _names_a_line(exc, cert.chain_text, "inline chain, ")
         verified = type(exc).__name__
     return cert, verified
 

@@ -135,6 +135,12 @@ class TestVerify:
         assert again.chain_hash == cert.chain_hash
         assert verify_certificate(again)
 
+    def test_inline_chain_errors_count_lines_within_the_copy(self):
+        text = certificate_to_text(find_countermodel(L2, LEM, 2))
+        cert = certificate_from_text(text.replace("labels 0 1/2 1", "labels 0 1/2 x"))
+        with pytest.raises(FormatError, match=r"^inline chain, line 3: "):
+            verify_certificate(cert)
+
     def test_chain_name_with_spaces_round_trips(self):
         chain = make_wnm_chain([4, 3, 1, 1, 0])
         assert chain.name == "wnm[4, 3, 1, 1, 0]"
