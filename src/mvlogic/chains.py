@@ -629,6 +629,7 @@ class Lines:
         self.i = start  # the next line; after a read, the number of the line read
 
     def more(self) -> bool:
+        """Whether a non-blank line is left."""
         while self.i < len(self.lines) and not self.lines[self.i].strip():
             self.i += 1
         return self.i < len(self.lines)

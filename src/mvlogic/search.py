@@ -166,7 +166,7 @@ def verify_certificate(cert: Certificate, chain: BaseChain | None = None) -> boo
             raise CertificateError("no chain given and no inline copy present")
         try:
             chain = chain_from_text(cert.chain_text, cert.chain_name)
-        except FormatError as exc:  # its line numbers count within the copy
+        except FormatError as exc:
             raise FormatError(f"inline chain, {exc}") from None
     if isinstance(chain, Chain):
         same = cert.chain_hash == chain.table_hash()
@@ -239,7 +239,7 @@ def certificate_to_text(cert: Certificate) -> str:
 
 def certificate_from_text(text: str) -> Certificate:
     r = Lines(text.splitlines(), 1)  # the header must be line 1
-    if "".join(r.lines[:1]).split() != ["mtlcert", "1"]:
+    if not r.lines or r.lines[0].split() != ["mtlcert", "1"]:
         r.error("expected header 'mtlcert 1'")
     chain_name = chain_hash = formula_text = chain_text = model = value = None
     valuation: dict[str, int] = {}
