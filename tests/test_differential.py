@@ -12,6 +12,10 @@ element 1 gives every closed formula the value that the size-n model
 gives.  Hence a refutation at size 1 stays a refutation at size 2, for
 the grounded and for the direct checker, and the masks at the copy's
 rank read the size-1 value.
+
+A certificate is checked by eval_fo, so ref decides which edits of a
+model cell leave it a real countermodel: those must still verify, and
+every other single edit must be rejected.
 """
 
 import importlib.util
@@ -20,13 +24,19 @@ from pathlib import Path
 
 from mvlogic import (
     Model,
+    MvlogicError,
+    certificate_from_text,
+    certificate_to_text,
     eval_fo,
+    find_countermodel,
     ground,
     is_taut_prop,
+    make_chain,
     masks,
     pretty,
     signature_of,
     universal_closure,
+    verify_certificate,
 )
 from mvlogic.corpus import fixed_corpus
 from mvlogic.suites import _lemma_tr_chains
@@ -125,3 +135,80 @@ def test_a_refutation_at_size_1_stays_at_size_2():
             assert masks.first_rank(two, program) is not None
             assert not is_taut_prop(chain, ground(closed, 2).formula)[0]
     assert refuted == 137  # of the 400 (chain, formula) pairs
+
+
+def _rejected(text):
+    """Whether the certificate text is refused: it does not read back,
+    its check raises, or its check answers False."""
+    try:
+        return not verify_certificate(certificate_from_text(text))
+    except MvlogicError:
+        return True
+
+
+def _cell_lines(lines):
+    """(line index, predicate, arguments, value text) of each model cell."""
+    start, end = lines.index("begin model"), lines.index("end model")
+    pred = None
+    for i in range(start + 3, end):
+        words = lines[i].split()
+        if words[0] == "pred":
+            pred = words[1]
+        else:
+            yield i, pred, tuple(map(int, words[:-1])), words[-1]
+
+
+def _edited(lines, i, line):
+    return "\n".join(lines[:i] + [line] + lines[i + 1 :]) + "\n"
+
+
+def test_corpus_certificates_read_back_and_reject_single_edits():
+    certificates = cell_edits = kept = 0
+    for chain in (make_chain("lukasiewicz", 2), make_chain("godel", 3), make_chain("nm", 4)):
+        ref_chain = REF_CHAINS[chain.name]
+        for phi in fixed_corpus():
+            cert = find_countermodel(chain, phi, 2)
+            if cert is None:
+                continue
+            certificates += 1
+            text = certificate_to_text(cert)
+            assert certificate_from_text(text) == cert
+            assert verify_certificate(certificate_from_text(text))
+            lines = text.splitlines()
+            at = {line.split()[0]: i for i, line in reversed(list(enumerate(lines)))}
+            other = next(v for v in chain.carrier if v != cert.value)
+            digit = "0" if cert.chain_hash[-1] != "0" else "1"
+            row = at["begin"] + 6  # star-table row 1 of the inline chain
+            entries = lines[row].split()
+            entries[1] = str((int(entries[1]) + 1) % chain.size)
+            cells = list(_cell_lines(lines))
+            i, pred, args, _ = cells[0]
+            edits = {
+                "value": _edited(lines, at["value"], f"value {other}"),
+                "hash": _edited(lines, at["chain"], f"chain {cert.chain_name} {cert.chain_hash[:-1]}{digit}"),
+                "inline table": _edited(lines, row, " ".join(entries)),
+                "valuation": _edited(lines, at["valuation"], "valuation x=1"),
+                "cell off the carrier": _edited(lines, i, " ".join(map(str, args)) + " 1/7"),
+            }
+            # The first on-carrier cell edit that ref says moves the value;
+            # the edits before it leave a real countermodel.
+            ref_phi = ref.parse(cert.formula_text)
+            table = {(p, a): v for p, t in cert.model.tables.items() for a, v in t.items()}
+            n = cert.model.domain_size
+            for i, pred, args, value in cells:
+                for v in chain.carrier:
+                    if str(v) == value:
+                        continue
+                    edited = _edited(lines, i, " ".join(map(str, args + (v,))))
+                    if ref.evaluate(ref_chain, ref_phi, n, {**table, (pred, args): v}) == cert.value:
+                        assert not _rejected(edited), (chain.name, cert.formula_text, pred, args, v)
+                        kept += 1
+                        continue
+                    edits["cell"] = edited
+                    break
+                if "cell" in edits:
+                    cell_edits += 1
+                    break
+            for name, edited in edits.items():
+                assert _rejected(edited), (name, chain.name, cert.formula_text)
+    assert (certificates, cell_edits, kept) == (58, 55, 16)
