@@ -10,10 +10,9 @@ operations on rationals in [0,1] and support evaluation only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Callable, NoReturn, Sequence
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 from . import formulas
 from .errors import (
@@ -31,10 +30,12 @@ ONE = Fraction(1)
 FAMILIES = ("boolean", "lukasiewicz", "godel", "nm", "dp")
 
 
-class BaseChain:
+class BaseChain(formulas.Value):
     """Operations shared by finite-table and rational-family chains.
 
     All operations act on chain values (rationals), not indices.
+    Chains are values (formulas.Value); Chain caches the tables it
+    derives in its instance dict, outside its fields.
     """
 
     name: str
@@ -72,15 +73,15 @@ class BaseChain:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Chain(BaseChain):
     """Finite-table chain: ordered rational labels plus a star table of
     carrier indices."""
 
-    name: str
-    carrier: tuple[Fraction, ...]
-    star_table: tuple[tuple[int, ...], ...]
-    has_delta: bool = False
+    __match_args__ = ("name", "carrier", "star_table", "has_delta")
+
+    def __init__(self, name: str, carrier: tuple[Fraction, ...],
+                 star_table: tuple[tuple[int, ...], ...], has_delta: bool = False):
+        vars(self).update(name=name, carrier=carrier, star_table=star_table, has_delta=has_delta)
 
     @property
     def size(self) -> int:
@@ -171,18 +172,18 @@ class Chain(BaseChain):
         return self._hash
 
 
-@dataclass(frozen=True)
 class RationalFamilyChain(BaseChain):
     """Chain over the rationals in [0,1] with computable operations.
 
     Supports evaluation only; exhaustive operations reject it.
     """
 
-    name: str
-    family: str
-    star_fn: Callable[[Fraction, Fraction], Fraction]
-    residuum_fn: Callable[[Fraction, Fraction], Fraction]
-    has_delta: bool = False
+    __match_args__ = ("name", "family", "star_fn", "residuum_fn", "has_delta")
+
+    def __init__(self, name: str, family: str, star_fn: Callable[[Fraction, Fraction], Fraction],
+                 residuum_fn: Callable[[Fraction, Fraction], Fraction], has_delta: bool = False):
+        vars(self).update(name=name, family=family, star_fn=star_fn, residuum_fn=residuum_fn,
+                          has_delta=has_delta)
 
     def contains(self, x: Fraction) -> bool:
         return ZERO <= x <= ONE
@@ -364,15 +365,13 @@ def make_wnm_chain(neg: Sequence[int], name: str = "") -> Chain:
 # Validation
 
 
-@dataclass(frozen=True)
-class LawViolation:
+class LawViolation(NamedTuple):
     law: str
     witness: tuple
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(NamedTuple):
     chain_name: str
     violations: tuple[LawViolation, ...]
 
@@ -524,8 +523,7 @@ def satisfies_identity(chain: BaseChain, identity) -> bool:
 # Structure
 
 
-@dataclass(frozen=True)
-class NegationProfile:
+class NegationProfile(NamedTuple):
     a_plus: frozenset[int]  # carrier indices with x > ~x
     fixpoint: int | None  # carrier index with x = ~x, if any
 
@@ -569,11 +567,8 @@ def subchains(chain: BaseChain) -> list[tuple[int, ...]]:
 
 def delta_expand(chain: BaseChain) -> BaseChain:
     """Same chain with the delta operation enabled."""
-    if isinstance(chain, Chain):
-        return Chain(chain.name + "+delta", chain.carrier, chain.star_table, True)
-    return RationalFamilyChain(
-        chain.name + "+delta", chain.family, chain.star_fn, chain.residuum_fn, True
-    )
+    name, *fields, _ = chain._fields()  # has_delta is the last field
+    return type(chain)(name + "+delta", *fields, True)
 
 
 def ordinal_sum(first: BaseChain, second: BaseChain) -> Chain:

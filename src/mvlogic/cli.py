@@ -226,17 +226,14 @@ def _run_chain(args) -> int:
 
 
 def _run_suite(args) -> int:
-    import inspect
-
-    from .suites import SUITES
+    from .suites import PARAMS, SUITES
 
     names = sorted(SUITES) if args.name == "all" else [args.name]
     options = {"trials": args.trials, "seed": args.seed}
     worst = 0
     for name in names:
-        fn = SUITES[name]
-        params = inspect.signature(fn).parameters
-        report = fn(**{k: v for k, v in options.items() if v is not None and k in params})
+        params = PARAMS[name]
+        report = SUITES[name](**{k: v for k, v in options.items() if v is not None and k in params})
         print(report.summary())
         for failure in report.failures:
             print("  " + failure)

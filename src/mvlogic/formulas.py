@@ -23,12 +23,13 @@ from .errors import ParseError, SignatureError
 # AST
 
 
-class Formula:
-    """Base class of all formula nodes.  Nodes are immutable values with
-    the contract of a frozen dataclass: keyword construction, equality
-    between nodes of one type with equal fields, the hash of the field
-    tuple, and a repr that names each field.  All of these read the
-    fields from ``__match_args__``; each shape writes only its own
+class Value:
+    """Base class of formula nodes and chains.  They are immutable
+    values with the contract of a frozen dataclass: keyword
+    construction, equality between values of one type with equal
+    fields, the hash of the field tuple, a repr that names each field,
+    and pickling and copying by fields.  All of these read the fields
+    from ``__match_args__``; each class writes only its own
     ``__init__``, because every checker builds nodes and none compares
     or hashes them."""
 
@@ -58,6 +59,12 @@ class Formula:
 
     def __reduce__(self):
         return type(self), self._fields()
+
+
+class Formula(Value):
+    """Base class of all formula nodes."""
+
+    __slots__ = ()
 
 
 _set = object.__setattr__

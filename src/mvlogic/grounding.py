@@ -12,8 +12,8 @@ domain index running 1..n.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chains import BaseChain
 from .errors import GroundingError
@@ -40,8 +40,7 @@ def cell_variable(pred: str, args: tuple[int, ...]) -> str:
     return "_".join(["p", pred.replace("_", "__")] + [str(a) for a in args])
 
 
-@dataclass(frozen=True)
-class GroundedFormula:
+class GroundedFormula(NamedTuple):
     """The propositional coding of a closed formula at domain size n,
     with the legend mapping each variable back to its model cell."""
 
@@ -100,8 +99,7 @@ def induced_assignment(model: Model) -> dict[str, Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Result of a bounded tautology check.
 
     is_taut means no refutation up to the bound; otherwise

@@ -9,9 +9,8 @@ double-negation translation; and the delta guard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from typing import NamedTuple
 
 from .chains import (
     ONE,
@@ -91,8 +90,7 @@ def _leaf(source: Chain, target: Chain, fn) -> tuple[int, ...]:
     return tuple(target.index(fn(x)) for x in source.carrier)
 
 
-@dataclass(frozen=True)
-class GodelFragment:
+class GodelFragment(NamedTuple):
     """The Goedel chain carried by A+ together with 0, plus the order
     embedding from its indices into the source chain's indices."""
 
@@ -123,12 +121,12 @@ class GodelFragment:
         """The restricted model read through the embedding inverse."""
         return _relabel(model, self._restricted)
 
-    @cached_property
+    @property
     def plus_leaf(self) -> tuple[int, ...]:
         """model_plus as a leaf map of the mask engine."""
         return _leaf(self.source, self.source, self._plus)
 
-    @cached_property
+    @property
     def fragment_leaf(self) -> tuple[int, ...]:
         """translate_model as a leaf map of the mask engine."""
         return _leaf(self.source, self.chain, self._restricted)

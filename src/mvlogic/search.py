@@ -15,9 +15,8 @@ carry the hash "-" and no inline copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .chains import BaseChain, Chain, Lines, chain_from_text, chain_to_text, require_finite
 from .errors import CertificateError, FormatError, InvalidParameterError
@@ -37,8 +36,7 @@ from .grounding import Verdict
 from .semantics import Model, enumerate_models, eval_fo, model_from_lines, model_to_text
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Countermodel witness: re-evaluating the formula over the
     embedded model on the identified chain must reproduce the stored
     value, which is strictly below 1."""

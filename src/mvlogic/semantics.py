@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .chains import BaseChain, Lines, require_finite
 from .errors import CapExceededError, EvaluationError, InvalidParameterError, SignatureError
@@ -40,8 +39,7 @@ ENUM_CAP_ENV = "MVLOGIC_ENUM_CAP"
 DEFAULT_ENUM_CAP = 20_000_000
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(NamedTuple):
     """Finite model: domain {1..n} plus one value table per predicate.
 
     Tables map argument tuples to chain values; a nullary predicate has

@@ -11,7 +11,6 @@ import functools
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
 from operator import or_
 from typing import Callable, Iterator, NamedTuple
 
@@ -73,43 +72,46 @@ class Batch(NamedTuple):
 Cases = Iterator[tuple[bool, str] | Batch]
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     name: str
-    cases: int = 0
-    failures: list[str] = field(default_factory=list)
-    seconds: float = 0.0
+    cases: int
+    failures: list[str]
+    seconds: float
 
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def case(self, condition: bool, message: str) -> None:
-        self.cases += 1
-        if not condition:
-            self.failures.append(message)
 
     def summary(self) -> str:
         status = "PASS" if self.ok else f"FAIL ({len(self.failures)} failures)"
         return f"suite {self.name}: {status}, {self.cases} cases, {self.seconds:.2f}s"
 
 
+PARAMS: dict[str, tuple[str, ...]] = {}
+
+
 def _suite(name: str, cases: Callable[..., Cases]) -> Callable[..., SuiteReport]:
     """A SUITES entry: runs the generator of (ok, message) cases and
-    batches that a suite_* function returns and reports on it."""
+    batches that a suite_* function returns and reports on it.  It
+    records the suite's parameter names in PARAMS, by which the CLI
+    routes its options."""
+    code = cases.__code__
+    PARAMS[name] = code.co_varnames[: code.co_argcount]
 
     @functools.wraps(cases)
     def run(*args, **kwargs) -> SuiteReport:
-        report = SuiteReport(name)
+        count, failures = 0, []
         t0 = time.perf_counter()
         for item in cases(*args, **kwargs):
             if isinstance(item, Batch):
-                report.cases += item.cases
-                report.failures.extend(item.failures)
+                count += item.cases
+                failures.extend(item.failures)
             else:
-                report.case(*item)
-        report.seconds = time.perf_counter() - t0
-        return report
+                ok, message = item
+                count += 1
+                if not ok:
+                    failures.append(message)
+        return SuiteReport(name, count, failures, time.perf_counter() - t0)
 
     return run
 

@@ -425,6 +425,15 @@ class TestDelta:
         c = delta_expand(make_chain("lukasiewicz", 4))
         assert satisfies_identity(c, parse(r"!p \/ ~!p", kind="prop"))
 
+    def test_expansion_keeps_every_other_field(self):
+        g3 = make_chain("godel", 3)
+        assert delta_expand(g3) == Chain("godel(3)+delta", g3.carrier, g3.star_table, True)
+        nm = make_rational_chain("nm")
+        c = delta_expand(nm)
+        assert (c.name, c.family, c.star_fn, c.residuum_fn, c.has_delta) == (
+            "nm[0,1]+delta", "nm", nm.star_fn, nm.residuum_fn, True)
+        assert type(c) is type(nm) and c.delta(F(1, 2)) == F(0)
+
 
 class TestChainFiles:
     def test_round_trip(self):

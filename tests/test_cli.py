@@ -443,7 +443,8 @@ def run_mvlogic(argv, command=(sys.executable, "-m", "mvlogic"), **kwargs):
 
 
 # Runs `python -m mvlogic ARG...` as a child would, then writes the
-# mvlogic modules it loaded, one a line, to the file named first.
+# mvlogic modules it loaded, and dataclasses and inspect if it loaded
+# them, one a line, to the file named first.
 LOAD_PROBE = """
 import runpy, sys
 out, sys.argv = sys.argv[1], ["mvlogic"] + sys.argv[2:]
@@ -452,9 +453,14 @@ try:
 except SystemExit as exc:
     code = exc.code
 with open(out, "w") as handle:
-    handle.write("\\n".join(m for m in sys.modules if m.split(".")[0] == "mvlogic"))
+    handle.write("\\n".join(m for m in sys.modules
+                              if m.split(".")[0] in ("mvlogic", "dataclasses", "inspect")))
 sys.exit(code)
 """
+
+
+# No command loads these: together they took about a fifth of start-up.
+STDLIB_NEVER = {"dataclasses", "inspect"}
 
 
 class TestStartupImports:
@@ -477,7 +483,7 @@ class TestStartupImports:
 
     def test_chain_commands(self, tmp_path, luk2_file):
         never = {"mvlogic.grounding", "mvlogic.search", "mvlogic.reductions",
-                 "mvlogic.suites", "mvlogic.corpus"}
+                 "mvlogic.suites", "mvlogic.corpus"} | STDLIB_NEVER
         _, make = self.loaded(tmp_path, ["chain", "make", "godel", "3", "-o",
                                          str(tmp_path / "g3.chain")], 0)
         _, check = self.loaded(tmp_path, ["chain", "check", luk2_file], 0)
@@ -485,7 +491,7 @@ class TestStartupImports:
         assert not make & never and not check & never
 
     def test_taut_search_verify(self, tmp_path, luk2_file):
-        never = {"mvlogic.reductions", "mvlogic.suites", "mvlogic.corpus"}
+        never = {"mvlogic.reductions", "mvlogic.suites", "mvlogic.corpus"} | STDLIB_NEVER
         formula = ["--formula", r"forall x. (P(x) \/ ~P(x))"]
         _, taut = self.loaded(tmp_path, ["taut", "--chain", luk2_file, "--bound", "1",
                                          *formula], 1)
@@ -498,6 +504,11 @@ class TestStartupImports:
         assert "mvlogic.search" in search and "mvlogic.search" in verify
         for modules in (taut, search, verify):
             assert not modules & never, modules & never
+
+    def test_suite(self, tmp_path):
+        _, suite = self.loaded(tmp_path, ["suite", "divisibility"], 0)
+        assert "mvlogic.suites" in suite
+        assert not suite & STDLIB_NEVER, suite & STDLIB_NEVER
 
     def test_import_package_alone(self):
         code = ("import sys, mvlogic; "

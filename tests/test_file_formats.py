@@ -8,7 +8,6 @@ pins how many parse and a digest of what they parse to, so a rewrite of
 a reader cannot move the accepted set or a parsed value unnoticed.
 """
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -75,21 +74,21 @@ ACCEPTED = [
     ("model-no-tables", model_from_text, "mtlmodel 1\ndomain 1\n", Model.from_dict(1, {})),
     ("cert-padded", certificate_from_text,
      _lines(CERT, lambda s: s if s.startswith(("end ", "mtlcert")) else "  " + s + "  "),
-     dataclasses.replace(CERT_VALUE, chain_text=_lines(CERT_VALUE.chain_text, lambda s: "  " + s + "  "))),
+     CERT_VALUE._replace(chain_text=_lines(CERT_VALUE.chain_text, lambda s: "  " + s + "  "))),
     ("cert-blank-lines", certificate_from_text,
      CERT.replace("\nformula", "\n\n \nformula").replace("\nvalue", "\n\t\nvalue"), CERT_VALUE),
     ("cert-crlf", certificate_from_text, CERT.replace("\n", "\r\n"), CERT_VALUE),
     ("cert-chain-name-with-spaces", certificate_from_text, certificate_to_text(WNM_CERT), WNM_CERT),
     ("cert-formula-inner-spacing", certificate_from_text,
      CERT.replace("forall y. ((R", "forall y.\t (  (R"),
-     dataclasses.replace(CERT_VALUE, formula_text=CERT_VALUE.formula_text.replace(
+     CERT_VALUE._replace(formula_text=CERT_VALUE.formula_text.replace(
          "forall y. ((R", "forall y.\t (  (R"))),
     ("cert-valuation-and-value-spacing", certificate_from_text,
      CERT.replace("valuation \n", "valuation   b=2\t a=1 \n").replace("value 1/2", "value \t1/2"),
-     dataclasses.replace(CERT_VALUE, valuation={"b": 2, "a": 1})),
+     CERT_VALUE._replace(valuation={"b": 2, "a": 1})),
     ("cert-no-inline-chain", certificate_from_text,
      CERT[:CERT.index("begin chain")] + CERT[CERT.index("end chain\n") + 10:],
-     dataclasses.replace(CERT_VALUE, chain_text=None)),
+     CERT_VALUE._replace(chain_text=None)),
 ]
 
 
