@@ -310,6 +310,7 @@ def suite_lemma_gc(max_n: int = 2) -> Cases:
         frag = godel_fragment(chain)
         allowed = frag.to_fragment  # A+ u {0}
         inside = frag.embedding  # their carrier indices
+        plus_leaf = frag.plus_leaf
 
         def judge(full, a, b):
             return full, _same(a, b) & _union(a[i] for i in inside)
@@ -326,7 +327,7 @@ def suite_lemma_gc(max_n: int = 2) -> Cases:
                     f"{chain.name} {pretty(phi)}: {a} vs {b} (allowed: {a in allowed})",
                 )
 
-            terms = [(chain, starred, None), (chain, starred, frag.plus_leaf)]
+            terms = [(chain, starred, None), (chain, starred, plus_leaf)]
             yield from _model_scan(chain, closed, max_n, terms, judge, case)
 
 
@@ -335,6 +336,7 @@ def suite_lemma_gc1(max_n: int = 2) -> Cases:
     formula over the extracted Goedel fragment."""
     for chain in _wnm_suite_chains():
         frag = godel_fragment(chain)
+        plus_leaf, fragment_leaf = frag.plus_leaf, frag.fragment_leaf
 
         def judge(full, restricted, over_frag_star, over_frag):
             # restrict_value maps source index frag.embedding[j] to j.
@@ -361,9 +363,9 @@ def suite_lemma_gc1(max_n: int = 2) -> Cases:
                 )
 
             terms = [
-                (chain, starred, frag.plus_leaf),
-                (frag.chain, starred, frag.fragment_leaf),
-                (frag.chain, closed, frag.fragment_leaf),
+                (chain, starred, plus_leaf),
+                (frag.chain, starred, fragment_leaf),
+                (frag.chain, closed, fragment_leaf),
             ]
             yield from _model_scan(chain, closed, max_n, terms, judge, case)
 
