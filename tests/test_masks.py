@@ -15,6 +15,7 @@ space spans many chunks.
 """
 
 import contextlib
+import hashlib
 import itertools
 import re
 from fractions import Fraction as F
@@ -25,6 +26,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from mvlogic import (
     CapExceededError,
+    EvaluationError,
     InvalidNegationError,
     Model,
     MvlogicError,
@@ -425,6 +427,74 @@ def test_error_order_of_the_two_checkers(monkeypatch):
             direct(chain, phi, 2)
     with pytest.raises(UnsupportedChainError, match=r"chain lukasiewicz\(3\) has no delta"):
         taut_upto_grounded(chain, phi, 2)
+
+
+_NO_DELTA = "chain lukasiewicz(3) has no delta operation"
+_LUK3 = make_chain("lukasiewicz", 3)
+_PRODUCT = make_rational_chain("product")
+
+
+@pytest.mark.parametrize("check, phi, error", [
+    # delta alone
+    (is_taut_prop, Delta(Var("p")), (UnsupportedChainError, _NO_DELTA)),
+    (taut_upto_grounded, parse("forall x. !P(x)"), (UnsupportedChainError, _NO_DELTA)),
+    (taut_upto_direct, parse("forall x. !P(x)"), (UnsupportedChainError, _NO_DELTA)),
+    # delta and a node the engine cannot evaluate: the first one met wins
+    (is_taut_prop, And(Delta(Var("p")), Atom("P", ())), (UnsupportedChainError, _NO_DELTA)),
+    (is_taut_prop, And(Atom("P", ()), Delta(Var("p"))),
+     (EvaluationError, "cannot evaluate node Atom(pred='P', args=())")),
+    (is_taut_prop, Delta(Atom("P", ())),
+     (EvaluationError, "cannot evaluate node Atom(pred='P', args=())")),
+    (taut_upto_direct, And(Delta(Atom("P", ("x",))), Var("p")), (UnsupportedChainError, _NO_DELTA)),
+    (taut_upto_direct, And(Var("p"), Delta(Atom("P", ("x",)))),
+     (EvaluationError, "cannot evaluate node Var(name='p')")),
+    (lambda chain, phi: find_countermodel(_PRODUCT, phi, 2, (F(0), F(1))),
+     And(Delta(Atom("P", ("x",))), Var("p")),
+     (UnsupportedChainError, "chain product[0,1] has no delta operation")),
+    (lambda chain, phi: find_countermodel(_PRODUCT, phi, 2, (F(0), F(1))),
+     And(Var("p"), Delta(Atom("P", ("x",)))),
+     (EvaluationError, "cannot evaluate node Var(name='p')")),
+], ids=["prop", "grounded", "direct", "prop-delta-first", "prop-node-first",
+        "prop-node-under-delta", "direct-delta-first", "direct-node-first",
+        "grid-delta-first", "grid-node-first"])
+def test_which_error_a_formula_raises_on_a_chain_without_delta(check, phi, error):
+    """Type and message of the first error, on lukasiewicz(3) or the
+    product family, neither of which has delta."""
+    args = (_LUK3, phi, 2) if check in (taut_upto_grounded, taut_upto_direct) else (_LUK3, phi)
+    with pytest.raises(error[0], match=f"^{re.escape(error[1])}$"):
+        check(*args)
+
+
+def test_an_unevaluable_node_after_delta_on_a_chain_with_delta():
+    chain = delta_expand(_LUK3)
+    with pytest.raises(EvaluationError, match=r"^cannot evaluate node Atom\(pred='P', args=\(\)\)$"):
+        is_taut_prop(chain, And(Delta(Var("p")), Atom("P", ())))
+    with pytest.raises(EvaluationError, match=r"^cannot evaluate node Var\(name='p'\)$"):
+        taut_upto_direct(chain, And(Delta(Atom("P", ("x",))), Var("p")), 2)
+
+
+def test_missing_delta_comes_before_the_cap_with_its_message(monkeypatch):
+    phi = parse("!p0 /\\ " + " /\\ ".join(f"p{i}" for i in range(1, 30)), kind="prop")
+    monkeypatch.setenv("MVLOGIC_ENUM_CAP", "10")
+    with pytest.raises(UnsupportedChainError, match=f"^{re.escape(_NO_DELTA)}$"):
+        is_taut_prop(_LUK3, phi)
+
+
+def test_grid_tables_of_the_corpus_are_pinned():
+    """Carrier and tables of every corpus formula's grid_tables on the
+    rational families over perfbench's --grid 3 values, the direct-search
+    grid cases among them, by sha256 prefix of a sorted text form."""
+    digest = hashlib.sha256()
+    for chain in RATIONAL:
+        for phi in fixed_corpus():
+            tables = masks.grid_tables(chain, universal_closure(phi), GRIDS[0])
+            rows = [
+                (op, sorted((i, sorted(row.items()) if isinstance(row, dict) else row)
+                            for i, row in table.items()))
+                for op, table in sorted(tables.operation_tables.items())
+            ]
+            digest.update(repr((tables.carrier, rows)).encode() + b"\n")
+    assert digest.hexdigest()[:16] == "75aacb52a91b180e"
 
 
 def test_suite_scan_reports_failing_ranks_in_order():

@@ -4,6 +4,7 @@ patch, runs the check, and asserts that the check reports the fault
 in its own message format instead of passing or crashing.
 """
 
+import hashlib
 import re
 from unittest import mock
 
@@ -22,8 +23,13 @@ def _exists_closure(phi):
     return closed
 
 
-def _assert_reports(report, failing, cases, pattern):
+def _assert_reports(report, failing, cases, pattern, digest):
+    """The report's counts, the format of each failure, and the failure
+    list in order, by its sha256 prefix: a change to how a suite
+    shares work between its chains must not reorder what it reports."""
     assert (len(report.failures), report.cases) == (failing, cases)
+    joined = "\n".join(report.failures).encode()
+    assert hashlib.sha256(joined).hexdigest()[:16] == digest
     for message in report.failures:
         assert re.fullmatch(pattern, message), message
         assert "masks and eval_fo disagree" not in message
@@ -36,13 +42,14 @@ def test_lemma_clos_catches_an_existential_closure():
             mock.patch.object(grounding, "universal_closure", _exists_closure):
         report = SUITES["lemma-clos"]()
     _assert_reports(report, 2, 50, r"\S+ .+: (taut-up-to-2|refuted at n=\d) vs "
-                                   r"(taut-up-to-2|refuted at n=\d)")
+                                   r"(taut-up-to-2|refuted at n=\d)", "baa566fbbf5bf154")
 
 
 def test_lemma_gc_catches_an_identity_squaring():
     with mock.patch.object(suites, "wnm_star", lambda phi: phi):
         report = SUITES["lemma-gc"](max_n=1)
-    _assert_reports(report, 288, 2968, r"\S+ .+: \S+ vs \S+ \(allowed: (True|False)\)")
+    _assert_reports(report, 288, 2968, r"\S+ .+: \S+ vs \S+ \(allowed: (True|False)\)",
+                    "d0f4420ccf7cda11")
 
 
 def test_lemma_gc1_reports_an_identity_squaring():
@@ -51,7 +58,8 @@ def test_lemma_gc1_reports_an_identity_squaring():
     with mock.patch.object(suites, "wnm_star", lambda phi: phi):
         report = SUITES["lemma-gc1"](max_n=1)
     _assert_reports(report, 74, 2968,
-                    r"\S+ .+: \S+ vs \S+ vs \S+( \(outside the fragment support\))?")
+                    r"\S+ .+: \S+ vs \S+ vs \S+( \(outside the fragment support\))?",
+                    "e39d0528de9c82e3")
     assert any(m.endswith("(outside the fragment support)") for m in report.failures)
 
 
@@ -59,14 +67,16 @@ def test_fo_axioms_catches_a_non_axiom():
     instances = {"forall1": (parse("forall x. P(x)"),)}
     with mock.patch.object(suites.corpus, "fo_axiom_instances", lambda: instances):
         report = SUITES["fo-axioms"](max_n=1, max_chain_size=3)
-    _assert_reports(report, 13, 22, r"\S+ forall1 \(forall x\. P\(x\)\): value \S+")
+    _assert_reports(report, 13, 22, r"\S+ forall1 \(forall x\. P\(x\)\): value \S+",
+                    "125c8cdd03a4e8b9")
 
 
 def test_lemma_luk1_catches_a_guard_that_is_always_1():
     with mock.patch.object(suites, "predef", lambda phi: parse("bot -> bot")):
         report = SUITES["lemma-luk1"](max_n=1)
     _assert_reports(report, 48, 534,
-                    r"\S+ .+: \S+ in A\+ is (True|False) but collapse gives \S+")
+                    r"\S+ .+: \S+ in A\+ is (True|False) but collapse gives \S+",
+                    "b078f427464258e9")
 
 
 def _corrupted_residuum():
