@@ -15,7 +15,7 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chains import BaseChain
+from .chains import BaseChain, require_finite
 from .errors import GroundingError
 from .formulas import (
     And,
@@ -31,7 +31,7 @@ from .formulas import (
     free_variables,
     universal_closure,
 )
-from .semantics import Model, is_taut_prop
+from .semantics import Model, _taut_prop
 
 
 def cell_variable(pred: str, args: tuple[int, ...]) -> str:
@@ -124,13 +124,26 @@ def taut_upto_grounded(chain: BaseChain, phi: Formula, bound: int) -> Verdict:
     """Check phi over all domain sizes 1..bound through the grounding:
     the verdict is taut-up-to-bound or the first (n, assignment)
     refutation."""
+    return _taut_upto_grounded(chain, phi, bound, {})
+
+
+def _taut_upto_grounded(chain: BaseChain, phi: Formula, bound: int, groundings: dict) -> Verdict:
+    """taut_upto_grounded, with the grounding at each domain size n, its
+    variables (the legend's names) and its Codes kept in groundings[n]
+    on first use: a caller that checks phi on several chains passes one
+    dict for all of them."""
+    from . import masks
+
     if bound < 1:
         raise GroundingError(f"bound must be >= 1, got {bound}")
     closed = universal_closure(phi)
     was_open = closed is not phi
     for n in range(1, bound + 1):
-        g = ground(closed, n)
-        ok, witness = is_taut_prop(chain, g.formula)
+        if n not in groundings:
+            g = ground(closed, n)
+            groundings[n] = g, sorted(g.legend), masks.Compiled(g.formula)
+        g, names, compiled = groundings[n]
+        ok, witness = _taut_prop(require_finite(chain), compiled, names)
         if not ok:
             return Verdict(False, bound, n, witness, g, was_open)
     return Verdict(True, bound, closed_input=was_open)

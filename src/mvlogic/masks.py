@@ -16,6 +16,12 @@ does.  A grid of a rational family, whose carrier is infinite, is
 scanned through grid_tables: the family's operations tabulated on the
 values the formula can reach from the grid.
 
+A formula is compiled once per domain size and cell layout into a Code,
+which holds no chain, and a Program binds that Code to one chain's
+tables, size and leaf map.  A caller that checks one formula on many
+chains keeps a Compiled for the length of its call and binds its Codes
+to each chain in turn.
+
 Every scan is one loop, Space.scan, over aligned chunks of ranks whose
 size is a power of the radix.  The first chunk holds about 2^10 ranks,
 so an early refutation stays cheap; later chunks grow up to about 2^22
@@ -85,7 +91,7 @@ class Space:
         return space
 
     def _index(self, cells: list, n: int, radix: int) -> None:
-        self.cells = cells
+        self.cells = tuple(cells)
         self.n = n
         self.radix = radix
         self.size = radix ** len(cells)
@@ -161,27 +167,29 @@ class Chunk:
         return out
 
 
-class Program:
-    """A closed formula over a finite chain (or the GridTables of a
-    rational family), instantiated at the space's domain size as a
-    straight-line list of mask operations.  Cells are read through
-    `leaf`: digit d is carrier index leaf[d].
+class Code:
+    """A closed formula compiled at a space's domain size into a
+    straight-line list of mask operations, with no chain in it: cell
+    positions, register numbers and the peak count of live registers
+    depend on the formula and the cells alone, so one Code runs on
+    every chain that a Program binds it to.
 
     Each (subformula, valuation of its free variables) becomes one
     instruction, and equal instructions are shared; a min or max of
     one distinct register is that register, as every quantifier is at
     domain size 1.  At domain size 1 every valuation is all-1, so the
     subformula alone is the key.  Registers are dropped after their
-    last use; `live_bits` bounds the mask bits per rank alive at once.
+    last use; `peak` is the most registers alive at once.
+
+    What the walk cannot compile it keeps, with whether a delta came
+    before it, for the bind to raise: the first fault the walk meets
+    is the one reported, as when the chain was known at compile time.
     """
 
-    def __init__(
-        self, chain: Chain | GridTables, phi: Formula, space: Space, leaf: tuple[int, ...]
-    ):
-        self.k = chain.size
-        self.leaf = leaf
-        self.tables = chain.operation_tables
-        self.code = code = []
+    def __init__(self, phi: Formula, space: Space):
+        self.instructions = code = []
+        self.has_delta = False
+        self.error = None
         made: dict[tuple, int] = {}
         seen: dict = {}
         free = None if space.n == 1 else _free_variables(phi)
@@ -210,8 +218,7 @@ class Program:
                 ins = ("neg", emit(node.sub, env))
             elif t is Delta:
                 ins = ("delta", emit(node.sub, env))
-                if not chain.has_delta:
-                    raise UnsupportedChainError(f"chain {chain.name} has no delta operation")
+                self.has_delta = True
             elif (t is Forall or t is Exists) and not propositional:
                 op = "min" if t is Forall else "max"
                 var, saved = node.var, env.get(node.var)
@@ -243,7 +250,11 @@ class Program:
             return reg
 
         last: dict[int, int] = {}  # register -> index of its last reader
-        self.result = emit(phi, {})
+        self.result = None
+        try:
+            self.result = emit(phi, {})
+        except EvaluationError as exc:
+            self.error = str(exc)
         del emit  # the closure refers to itself: free it without the cyclic GC
         self.drops = [[] for _ in code]
         for reg, i in last.items():
@@ -254,13 +265,53 @@ class Program:
             live += 1
             peak = max(peak, live)
             live -= len(drops)
-        self.live_bits = peak * self.k
+        self.peak = peak
+
+
+class Compiled:
+    """A formula and its Codes, compiled on first use, one per cell
+    layout: what a caller that checks the formula on several chains
+    keeps for the length of its call, so that each chain binds the
+    Code the first one compiled.  The key is the space's domain size
+    and cells, which fix the Code; the chain and the radix do not."""
+
+    __slots__ = ("phi", "_codes")
+
+    def __init__(self, phi: Formula):
+        self.phi = phi
+        self._codes: dict[tuple, Code] = {}
+
+    def code(self, space: Space) -> Code:
+        key = (space.n, space.cells)
+        code = self._codes.get(key)
+        if code is None:
+            code = self._codes[key] = Code(self.phi, space)
+        return code
+
+
+class Program:
+    """A Code bound to a finite chain (or the GridTables of a rational
+    family): its operation tables and size k, and `leaf`, by which a
+    cell's digit d reads as carrier index leaf[d].  Binding raises what
+    the Code cannot run on the chain, a delta it lacks first;
+    `live_bits` bounds the mask bits per rank alive at once."""
+
+    def __init__(self, code: Code, chain: Chain | GridTables, leaf: tuple[int, ...]):
+        if code.has_delta and not chain.has_delta:
+            raise UnsupportedChainError(f"chain {chain.name} has no delta operation")
+        if code.error is not None:
+            raise EvaluationError(code.error)
+        self.code = code
+        self.k = chain.size
+        self.leaf = leaf
+        self.tables = chain.operation_tables
+        self.live_bits = code.peak * self.k
 
     def run(self, chunk: Chunk) -> list[int]:
         """The formula's masks over the chunk."""
-        k, full = self.k, chunk.full
-        regs: list = [None] * len(self.code)
-        for i, (op, *args) in enumerate(self.code):
+        k, full, code = self.k, chunk.full, self.code
+        regs: list = [None] * len(code.instructions)
+        for i, (op, *args) in enumerate(code.instructions):
             if op == "cell":
                 out = chunk.cell(args[0], self.leaf, k)
             elif op == "min" or op == "max":
@@ -276,9 +327,9 @@ class Program:
             else:
                 out = _pairs(self.tables[op], regs[args[0]], regs[args[1]], k)
             regs[i] = out
-            for reg in self.drops[i]:
+            for reg in code.drops[i]:
                 regs[reg] = None
-        return regs[self.result]
+        return regs[code.result]
 
 
 _BINARY = {StrongAnd: "star", Implies: "res", Iff: "iff", And: "min", Or: "max"}

@@ -51,24 +51,23 @@ class Certificate(NamedTuple):
 
 
 def _first_countermodel(
-    chain: BaseChain, closed: Formula, max_size: int, values: tuple[Fraction, ...]
+    chain: BaseChain, compiled, max_size: int, values: tuple[Fraction, ...]
 ) -> tuple[Model, Fraction] | None:
     """The direct scan: the canonically first model over domains
     1..max_size with values from `values` on which the closed formula
-    is not 1, with its value.
+    compiled.phi is not 1, with its value.
 
-    The mask engine scans every domain size, and eval_fo re-checks the
-    witness it finds.  On a rational family the engine runs on the
+    The mask engine scans every domain size with the Codes that
+    `compiled` holds, or compiles on first use, and eval_fo re-checks
+    the witness it finds.  On a rational family the engine runs on the
     values the formula can reach from the grid (masks.grid_tables),
     tabulated once per call; past masks.GRID_VALUE_CAP of them, the
     models are evaluated one by one with eval_fo instead."""
-    # Imported by the first scan, not with the package, so that commands
-    # that scan no models do not load (or, without cached bytecode,
-    # compile) the engine.
     from . import masks
 
     if max_size < 1:
         raise InvalidParameterError(f"max_size must be >= 1, got {max_size}")
+    closed = compiled.phi
     sig = signature_of(closed)
     tables = chain if isinstance(chain, Chain) else masks.grid_tables(chain, closed, values)
     if tables is None:
@@ -83,7 +82,7 @@ def _first_countermodel(
     leaf = tuple(range(len(values))) if full else tuple(map(tables.index, values))
     for n in range(1, max_size + 1):
         space = masks.Space(sig, n, len(values))
-        found = masks.first_rank(space, masks.Program(tables, closed, space, leaf))
+        found = masks.first_rank(space, masks.Program(compiled.code(space), tables, leaf))
         if found is not None:
             rank, index = found
             model = space.model(rank, values)
@@ -118,8 +117,13 @@ def find_countermodel(
         for v in values:
             if not chain.contains(v):
                 raise InvalidParameterError(f"grid value {v} is not in the carrier")
+    # Imported by the first scan, not with the package, so that commands
+    # that scan no models do not load (or, without cached bytecode,
+    # compile) the engine.
+    from . import masks
+
     closed = universal_closure(phi)
-    found = _first_countermodel(chain, closed, max_size, values)
+    found = _first_countermodel(chain, masks.Compiled(closed), max_size, values)
     if found is None:
         return None
     model, value = found
@@ -138,10 +142,18 @@ def find_countermodel(
 def taut_upto_direct(chain: BaseChain, phi: Formula, bound: int) -> Verdict:
     """Bounded tautology check by direct model enumeration over the
     full carrier; mirrors the grounded checker's verdicts."""
+    from . import masks
+
+    return _taut_upto_direct(chain, phi, bound, masks.Compiled(universal_closure(phi)))
+
+
+def _taut_upto_direct(chain: BaseChain, phi: Formula, bound: int, compiled) -> Verdict:
+    """taut_upto_direct with the Codes of phi's closure that `compiled`
+    holds, or compiles on first use: a caller that checks phi on several
+    chains passes one Compiled for all of them."""
     c = require_finite(chain)
-    closed = universal_closure(phi)
-    was_open = closed is not phi
-    found = _first_countermodel(c, closed, bound, c.carrier)
+    found = _first_countermodel(c, compiled, bound, c.carrier)
+    was_open = compiled.phi is not phi
     if found is None:
         return Verdict(True, bound, closed_input=was_open)
     model, val = found

@@ -14,7 +14,7 @@ import os
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .chains import BaseChain, Lines, require_finite
+from .chains import BaseChain, Chain, Lines, require_finite
 from .errors import CapExceededError, EvaluationError, InvalidParameterError, SignatureError
 from .formulas import (
     And,
@@ -208,14 +208,25 @@ def is_taut_prop(
     from . import masks  # masks builds on this module's Model
 
     c = require_finite(chain)
-    space = masks.Space.of_variables(sorted(prop_variables(phi)), c.size)
+    return _taut_prop(c, masks.Compiled(phi), sorted(prop_variables(phi)))
+
+
+def _taut_prop(c: Chain, compiled, names: list[str]) -> tuple[bool, dict[str, Fraction] | None]:
+    """is_taut_prop on compiled.phi, whose variables are `names` in
+    order, binding the Code that `compiled` holds for them, or compiles
+    on first use."""
+    from . import masks
+
+    phi = compiled.phi
+    space = masks.Space.of_variables(names, c.size)
     try:
         check_cap(space.size, "assignments")
     except CapExceededError:
         if has_delta(phi):
             c.delta(c.top)  # raises on a chain without delta: that error comes first
         raise
-    found = masks.first_rank(space, masks.Program(c, phi, space, tuple(range(c.size))))
+    program = masks.Program(compiled.code(space), c, tuple(range(c.size)))
+    found = masks.first_rank(space, program)
     if found is None:
         return True, None
     rank, index = found

@@ -14,7 +14,7 @@ import time
 from operator import or_
 from typing import Callable, Iterator, NamedTuple
 
-from . import corpus
+from . import corpus, masks
 from .chains import (
     Chain,
     check_chain,
@@ -42,6 +42,7 @@ from .formulas import (
 from .grounding import (
     Verdict,
     _ground,
+    _taut_upto_grounded,
     cell_variable,
     ground,
     induced_assignment,
@@ -57,7 +58,13 @@ from .reductions import (
     predef,
     wnm_star,
 )
-from .search import find_countermodel, lift_prop, taut_upto_direct, verify_certificate
+from .search import (
+    _taut_upto_direct,
+    find_countermodel,
+    lift_prop,
+    taut_upto_direct,
+    verify_certificate,
+)
 from .semantics import Model, eval_fo, eval_prop, is_taut_prop
 
 
@@ -166,21 +173,22 @@ def _model_scan(chain: Chain, closed: Formula, max_n: int, terms, judge, case) -
     """Batches of cases, one per model of the closed formula's signature
     over {1..n}, n <= max_n, with values from chain's carrier.
 
-    Each term (term chain, formula, leaf map or None for the identity)
-    is evaluated by the mask engine; terms may instead be a function
-    that gives the Programs for each model space.  judge(full, *term
-    masks) gives the ranks that are cases and the ranks that pass.
-    Only a failing rank is decoded to a Model, and case(model) gives its
-    (ok, message) with eval_fo, which must agree that it fails."""
-    from . import masks  # imported by the first scan, as in search
-
+    Each term (term chain, compiled formula, leaf map or None for the
+    identity) is evaluated by the mask engine: the Code that the
+    compiled formula (a masks.Compiled, or a _Coded) gives for the
+    model space, bound to the term chain.  A suite that scans one
+    formula on several chains passes the same compiled formula for each.
+    judge(full, *term masks) gives the ranks that are cases and the
+    ranks that pass.  Only a failing rank is decoded to a Model, and
+    case(model) gives its (ok, message) with eval_fo, which must agree
+    that it fails."""
     sig = signature_of(closed)
     identity = tuple(range(chain.size))
     for n in range(1, max_n + 1):
         space = masks.Space(sig, n, chain.size)
-        programs = terms(space) if callable(terms) else [
-            masks.Program(c, phi, space, identity if leaf is None else leaf)
-            for c, phi, leaf in terms
+        programs = [
+            masks.Program(compiled.code(space), c, identity if leaf is None else leaf)
+            for c, compiled, leaf in terms
         ]
         for chunk, term_masks in space.scan(*programs):
             active, good = judge(chunk.full, *term_masks)
@@ -191,6 +199,23 @@ def _model_scan(chain: Chain, closed: Formula, max_n: int, terms, judge, case) -
                     raise AssertionError(f"masks and eval_fo disagree: {message}")
                 failures.append(message)
             yield Batch(active.bit_count(), failures)
+
+
+class _Coded:
+    """The grounding of a closed formula at a model space's domain size,
+    compiled on the model space's cell positions, so that each cell
+    variable reads the cell it names: lemma-tr's second term.  The
+    grounding and its Codes are made on first use, once per size."""
+
+    def __init__(self, closed: Formula):
+        self.closed = closed
+        self._grounded: dict = {}  # n -> masks.Compiled of the grounding
+
+    def code(self, space: masks.Space) -> masks.Code:
+        if space.n not in self._grounded:
+            self._grounded[space.n] = masks.Compiled(ground(self.closed, space.n).formula)
+        names = [cell_variable(pred, args) for pred, args in space.cells]
+        return self._grounded[space.n].code(masks.Space.of_variables(names, space.radix))
 
 
 def _random_model(rng: random.Random, sig, n: int, carrier) -> Model:
@@ -223,28 +248,22 @@ def suite_lemma_tr(trials: int = 200, seed: int = 7, exhaustive_n: int = 2) -> C
     under the induced assignment: exhaustive on the fixed corpus at
     n <= exhaustive_n, on the mask engine, plus seeded random formulas
     with sampled models at n <= 3."""
-    from . import masks
-
     def judge(full, direct, coded):
         return full, _same(direct, coded)
 
+    checks = []
+    for phi in corpus.fixed_corpus():
+        closed = universal_closure(phi)
+        checks.append((phi, closed, masks.Compiled(closed), _Coded(closed)))
     chains = _lemma_tr_chains()
     for chain in chains:
-        identity = tuple(range(chain.size))
-        for phi in corpus.fixed_corpus():
-            closed = universal_closure(phi)
-
-            def programs(space):
-                # Cell variables in the model space's order share its positions.
-                names = [cell_variable(pred, args) for pred, args in space.cells]
-                cells = masks.Space.of_variables(names, chain.size)
-                coded = masks.Program(chain, ground(closed, space.n).formula, cells, identity)
-                return [masks.Program(chain, closed, space, identity), coded]
+        for phi, closed, direct, coded in checks:
 
             def case(model):
                 return next(_coding_cases(chain, phi, model.domain_size, [model]))
 
-            yield from _model_scan(chain, closed, exhaustive_n, programs, judge, case)
+            terms = [(chain, direct, None), (chain, coded, None)]
+            yield from _model_scan(chain, closed, exhaustive_n, terms, judge, case)
     rng = random.Random(seed)
     for _ in range(trials):
         chain = rng.choice(chains)
@@ -306,6 +325,11 @@ def _wnm_suite_chains() -> list[Chain]:
 def suite_lemma_gc(max_n: int = 2) -> Cases:
     """Squared formulas cannot tell a model from its restriction to the
     idempotent part, and their value lands in A+ u {0}."""
+    checks = []
+    for phi in corpus.fixed_corpus():
+        closed = universal_closure(phi)
+        starred = wnm_star(closed)
+        checks.append((phi, closed, starred, masks.Compiled(starred)))
     for chain in _wnm_suite_chains():
         frag = godel_fragment(chain)
         allowed = frag.to_fragment  # A+ u {0}
@@ -315,9 +339,7 @@ def suite_lemma_gc(max_n: int = 2) -> Cases:
         def judge(full, a, b):
             return full, _same(a, b) & _union(a[i] for i in inside)
 
-        for phi in corpus.fixed_corpus():
-            closed = universal_closure(phi)
-            starred = wnm_star(closed)
+        for phi, closed, starred, compiled in checks:
 
             def case(model):
                 a = eval_fo(chain, model, {}, starred)
@@ -327,13 +349,18 @@ def suite_lemma_gc(max_n: int = 2) -> Cases:
                     f"{chain.name} {pretty(phi)}: {a} vs {b} (allowed: {a in allowed})",
                 )
 
-            terms = [(chain, starred, None), (chain, starred, plus_leaf)]
+            terms = [(chain, compiled, None), (chain, compiled, plus_leaf)]
             yield from _model_scan(chain, closed, max_n, terms, judge, case)
 
 
 def suite_lemma_gc1(max_n: int = 2) -> Cases:
     """The restricted value agrees with both the squared and the plain
     formula over the extracted Goedel fragment."""
+    checks = []
+    for phi in corpus.fixed_corpus():
+        closed = universal_closure(phi)
+        starred = wnm_star(closed)
+        checks.append((phi, closed, starred, masks.Compiled(starred), masks.Compiled(closed)))
     for chain in _wnm_suite_chains():
         frag = godel_fragment(chain)
         plus_leaf, fragment_leaf = frag.plus_leaf, frag.fragment_leaf
@@ -345,9 +372,7 @@ def suite_lemma_gc1(max_n: int = 2) -> Cases:
             )
             return full, restricts & _same(over_frag_star, over_frag)
 
-        for phi in corpus.fixed_corpus():
-            closed = universal_closure(phi)
-            starred = wnm_star(closed)
+        for phi, closed, starred, compiled_star, compiled in checks:
 
             def case(model):
                 restricted = eval_fo(chain, frag.model_plus(model), {}, starred)
@@ -363,9 +388,9 @@ def suite_lemma_gc1(max_n: int = 2) -> Cases:
                 )
 
             terms = [
-                (chain, starred, plus_leaf),
-                (frag.chain, starred, fragment_leaf),
-                (frag.chain, closed, fragment_leaf),
+                (chain, compiled_star, plus_leaf),
+                (frag.chain, compiled_star, fragment_leaf),
+                (frag.chain, compiled, fragment_leaf),
             ]
             yield from _model_scan(chain, closed, max_n, terms, judge, case)
 
@@ -409,7 +434,7 @@ def suite_lemma_pred(max_n: int = 2) -> Cases:
                 "appears as a subformula value despite a positive guard",
             )
 
-        terms = [(chain, guard, None), (chain, fixed, None)]
+        terms = [(chain, masks.Compiled(guard), None), (chain, masks.Compiled(fixed), None)]
         yield from _model_scan(chain, fixed, max_n, terms, judge, case)
 
 
@@ -417,6 +442,10 @@ def suite_lemma_luk1(max_n: int = 2) -> Cases:
     """With a positive definedness guard, a classical formula lands in
     A+ exactly when it is true in the collapsed Boolean model."""
     two = make_chain("boolean")
+    checks = []
+    for phi in corpus.classical_corpus():
+        closed = universal_closure(phi)
+        checks.append((phi, closed, masks.Compiled(predef(phi)), masks.Compiled(closed)))
     for chain in [make_chain("lukasiewicz", 2), make_chain("lukasiewicz", 3)]:
         profile = negation_profile(chain)
         plus = {chain.carrier[i] for i in profile.a_plus}
@@ -427,8 +456,7 @@ def suite_lemma_luk1(max_n: int = 2) -> Cases:
             in_plus = _union(val[i] for i in profile.a_plus)
             return full ^ guard[0], full ^ in_plus ^ bool_val[1]
 
-        for phi in corpus.classical_corpus():
-            closed = universal_closure(phi)
+        for phi, closed, guard, compiled in checks:
 
             def case(model):
                 val = eval_fo(chain, model, {}, closed)
@@ -439,7 +467,7 @@ def suite_lemma_luk1(max_n: int = 2) -> Cases:
                     f"{val in plus} but collapse gives {bool_val}",
                 )
 
-            terms = [(chain, predef(phi), None), (chain, closed, None), (two, closed, collapse)]
+            terms = [(chain, guard, None), (chain, compiled, None), (two, compiled, collapse)]
             yield from _model_scan(chain, closed, max_n, terms, judge, case)
 
 
@@ -447,26 +475,32 @@ def suite_lemma_luk(bound: int = 3) -> Cases:
     """Guarded translation: classical tautology over the Boolean chain
     iff the translation is a tautology over the MV-chain, at each
     bound, with matching refutation sizes."""
-    two = make_chain("boolean")
-    for chain in [make_chain("lukasiewicz", 2), make_chain("lukasiewicz", 3)]:
-        for phi in corpus.classical_corpus():
-            mv = taut_upto_grounded(chain, luk_star(phi), bound)
-            yield _agree(chain, phi, mv, taut_upto_grounded(two, phi, bound))
+    chains = [make_chain("lukasiewicz", 2), make_chain("lukasiewicz", 3)]
+    yield from _reduction_suite(
+        luk_star, chains, make_chain("boolean"), bound, corpus.classical_corpus()
+    )
 
 
-def _reduction_suite(translate, chain, reference, bound) -> Cases:
-    """Cases: each corpus formula's translation over chain gets the
-    verdict the formula gets over reference."""
-    for phi in corpus.fixed_corpus():
-        translated = taut_upto_grounded(chain, translate(phi), bound)
-        yield _agree(chain, phi, translated, taut_upto_grounded(reference, phi, bound))
+def _reduction_suite(translate, chains, reference, bound, formulas) -> Cases:
+    """Cases: on each chain in turn, each formula's translation gets the
+    verdict the formula gets over reference.  The reference verdict is
+    checked once per formula, and the translation grounded and compiled
+    once for every chain."""
+    checks = [
+        (phi, translate(phi), {}, taut_upto_grounded(reference, phi, bound))
+        for phi in formulas
+    ]
+    for chain in chains:
+        for phi, translated, groundings, expected in checks:
+            verdict = _taut_upto_grounded(chain, translated, bound, groundings)
+            yield _agree(chain, phi, verdict, expected)
 
 
 def suite_thm41_smtl(bound: int = 3) -> Cases:
     """Double negation over a chain with strict negation reduces to the
     Boolean verdicts."""
     yield from _reduction_suite(
-        double_neg, make_chain("godel", 4), make_chain("boolean"), bound
+        double_neg, [make_chain("godel", 4)], make_chain("boolean"), bound, corpus.fixed_corpus()
     )
 
 
@@ -475,19 +509,19 @@ def suite_thm41_bl(bound: int = 3) -> Cases:
     (MV-chain) component."""
     luk2 = make_chain("lukasiewicz", 2)
     sum_chain = ordinal_sum(luk2, make_chain("godel", 2))
-    yield from _reduction_suite(double_neg, sum_chain, luk2, bound)
+    yield from _reduction_suite(double_neg, [sum_chain], luk2, bound, corpus.fixed_corpus())
 
 
 def suite_thm415_delta(bound: int = 3) -> Cases:
     """Guarding every atom with delta reduces any chain's verdicts to
     the Boolean-with-delta ones."""
-    two_delta = delta_expand(make_chain("boolean"))
-    for chain in [
+    chains = [
         delta_expand(make_chain("lukasiewicz", 2)),
         delta_expand(make_chain("lukasiewicz", 3)),
         delta_expand(make_chain("godel", 4)),
-    ]:
-        yield from _reduction_suite(delta_guard, chain, two_delta, bound)
+    ]
+    two_delta = delta_expand(make_chain("boolean"))
+    yield from _reduction_suite(delta_guard, chains, two_delta, bound, corpus.fixed_corpus())
 
 
 def suite_formula_f() -> Cases:
@@ -508,6 +542,11 @@ def suite_formula_f() -> Cases:
 def suite_fo_axioms(max_n: int = 2, max_chain_size: int = 5) -> Cases:
     """The five quantifier axiom schemata evaluate to 1 over every
     enumerated model of every shipped small chain."""
+    checks = []
+    for name, instances in corpus.fo_axiom_instances().items():
+        for phi in instances:
+            closed = universal_closure(phi)
+            checks.append((name, phi, closed, masks.Compiled(closed)))
     chains = [c for c in shipped_chains(max_chain_size) if c.size <= max_chain_size]
     for chain in chains:
         top = chain.size - 1
@@ -515,19 +554,17 @@ def suite_fo_axioms(max_n: int = 2, max_chain_size: int = 5) -> Cases:
         def judge(full, val):
             return full, val[top]
 
-        for name, instances in corpus.fo_axiom_instances().items():
-            for phi in instances:
-                closed = universal_closure(phi)
+        for name, phi, closed, compiled in checks:
 
-                def case(model):
-                    val = eval_fo(chain, model, {}, closed)
-                    return (
-                        val == chain.top,
-                        f"{chain.name} {name} {pretty(phi)}: value {val}",
-                    )
+            def case(model):
+                val = eval_fo(chain, model, {}, closed)
+                return (
+                    val == chain.top,
+                    f"{chain.name} {name} {pretty(phi)}: value {val}",
+                )
 
-                terms = [(chain, closed, None)]
-                yield from _model_scan(chain, closed, max_n, terms, judge, case)
+            terms = [(chain, compiled, None)]
+            yield from _model_scan(chain, closed, max_n, terms, judge, case)
 
 
 def suite_divisibility() -> Cases:
@@ -555,10 +592,11 @@ def suite_oracle_agreement() -> Cases:
         (make_chain("lukasiewicz", 3), 2),
         (make_chain("nm", 4), 2),
     ]
+    checks = [(phi, {}, masks.Compiled(universal_closure(phi))) for phi in corpus.fixed_corpus()]
     for chain, bound in plan:
-        for phi in corpus.fixed_corpus():
-            grounded = taut_upto_grounded(chain, phi, bound)
-            yield _agree(chain, phi, grounded, taut_upto_direct(chain, phi, bound))
+        for phi, groundings, compiled in checks:
+            grounded = _taut_upto_grounded(chain, phi, bound, groundings)
+            yield _agree(chain, phi, grounded, _taut_upto_direct(chain, phi, bound, compiled))
 
 
 def suite_thm413_demo(bound: int = 3) -> Cases:

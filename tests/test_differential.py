@@ -120,8 +120,8 @@ def test_a_refutation_at_size_1_stays_at_size_2():
                 model = one.model(rank, chain.carrier)
                 value = eval_fo(chain, model, {}, closed)
                 assert eval_fo(chain, _copy_element_1(model, sig), {}, closed) == value
-            program = masks.Program(chain, closed, two, identity)
-            found = masks.first_rank(one, masks.Program(chain, closed, one, identity))
+            program = masks.Program(masks.Code(closed, two), chain, identity)
+            found = masks.first_rank(one, masks.Program(masks.Code(closed, one), chain, identity))
             grounded_1, _ = is_taut_prop(chain, ground(closed, 1).formula)
             assert grounded_1 == (found is None)
             if found is None:

@@ -187,9 +187,9 @@ def test_mask_value_is_eval_fo_at_every_rank(chain, phi, n, bits):
     try:
         expected = [eval_fo(chain, m, {}, closed) for m in models]
     except MvlogicError as exc:  # delta on a chain without delta
-        _same_error(exc, lambda: masks.Program(chain, closed, space, identity))
+        _same_error(exc, lambda: masks.Program(masks.Code(closed, space), chain, identity))
         return
-    program = masks.Program(chain, closed, space, identity)
+    program = masks.Program(masks.Code(closed, space), chain, identity)
     scanned = 0
     with _small_chunks(bits):
         for chunk, (values,) in space.scan(program):
@@ -361,7 +361,7 @@ class TestChunks:
 
     def test_budget_shrinks_chunks(self):
         space = masks.Space({"P": 1}, 12, 2)
-        program = masks.Program(make_chain("boolean"), parse("forall x. P(x)"), space, (0, 1))
+        program = masks.Program(masks.Code(parse("forall x. P(x)"), space), make_chain("boolean"), (0, 1))
         with mock.patch.object(masks, "MASK_BUDGET_BITS", 64 * program.live_bits):
             assert max(c.size for c, _ in space.scan(program)) == 64
 
@@ -418,8 +418,8 @@ def test_delta_error_of_the_direct_checker():
 
 def test_error_order_of_the_two_checkers(monkeypatch):
     """The direct checker builds each size's Space, which checks the cap,
-    before its Program; the grounded checker builds its Program, which
-    finds the missing delta, before it checks the cap."""
+    before it binds a Program; the grounded checker reports a missing
+    delta before the cap."""
     monkeypatch.setenv("MVLOGIC_ENUM_CAP", "2")
     chain, phi = make_chain("lukasiewicz", 3), parse("forall x. !P(x)")
     for direct in (find_countermodel, taut_upto_direct):
@@ -508,7 +508,8 @@ def test_suite_scan_reports_failing_ranks_in_order():
         return value == 1, f"{value} at {sorted(model.table('P').values())}"
 
     batches = list(
-        _model_scan(chain, closed, 2, [(chain, closed, None)], lambda full, v: (full, v[2]), case)
+        _model_scan(chain, closed, 2, [(chain, masks.Compiled(closed), None)],
+                    lambda full, v: (full, v[2]), case)
     )
     assert all(isinstance(b, Batch) for b in batches)
     assert sum(b.cases for b in batches) == 3 + 9

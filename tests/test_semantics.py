@@ -225,11 +225,11 @@ class TestEnumerateModels:
             is_taut_prop(make_chain("boolean"), phi)
 
     def test_cap_is_checked_before_compiling(self, monkeypatch):
-        # 3^12 assignments on godel(3): no program is built over the cap.
-        def no_program(*args):
-            raise AssertionError("a Program was built over the cap")
+        # 3^12 assignments on godel(3): no formula is compiled over the cap.
+        def no_code(*args):
+            raise AssertionError("a Code was compiled over the cap")
 
-        monkeypatch.setattr(masks, "Program", no_program)
+        monkeypatch.setattr(masks, "Code", no_code)
         monkeypatch.setenv("MVLOGIC_ENUM_CAP", "10")
         phi = parse(" /\\ ".join(f"p{i}" for i in range(12)), kind="prop")
         with pytest.raises(CapExceededError,
