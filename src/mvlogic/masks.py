@@ -401,14 +401,16 @@ def grid_tables(chain: RationalFamilyChain, phi: Formula, values) -> GridTables 
     take the union, and the other connectives apply the family's own
     star_fn and residuum_fn to every pair of child values, each
     (operation, x, y) once.  The carrier is U, the union of every V with
-    the grid, 0 and 1, in order, so that index order is value order."""
+    the grid, 0 and 1, in order, so that index order is value order.  An
+    iff reads each residuum from the res entries when a res node has
+    made it already."""
     res = chain.residuum_fn
     fns = {
         "neg": lambda x, _: res(x, ZERO),
         "delta": lambda x, _: ONE if x == ONE else ZERO,
         "star": chain.star_fn,
         "res": res,
-        "iff": lambda x, y: min(res(x, y), res(y, x)),
+        "iff": None,  # the min of both residua, by index through residuum
     }
     memo: dict[str, dict] = {op: {} for op in fns}  # op -> (i, j) -> result
     found: list = []  # U in order of discovery; sets below hold its indices
@@ -420,6 +422,10 @@ def grid_tables(chain: RationalFamilyChain, phi: Formula, values) -> GridTables 
             i = ids[x] = len(found)
             found.append(x)
         return i
+
+    def residuum(i, j):
+        r = memo["res"].get((i, j))
+        return res(found[i], found[j]) if r is None else found[r]
 
     def walk(node) -> set:
         t = type(node)
@@ -442,7 +448,8 @@ def grid_tables(chain: RationalFamilyChain, phi: Formula, values) -> GridTables 
             for j in b:
                 r = seen.get((i, j))
                 if r is None:
-                    r = seen[i, j] = intern(fn(found[i], found[j]))
+                    x = min(residuum(i, j), residuum(j, i)) if fn is None else fn(found[i], found[j])
+                    r = seen[i, j] = intern(x)
                 out.add(r)
             if len(found) > GRID_VALUE_CAP:
                 raise _CapPassed
