@@ -442,7 +442,7 @@ def grid_tables(chain: RationalFamilyChain, phi: Formula, values) -> GridTables 
         elif t in _BINARY:
             op, a, b = _BINARY[t], walk(node.left), walk(node.right)
         else:
-            return set()  # Program reports the node
+            return set()  # binding the Code reports the node
         fn, seen, out = fns[op], memo[op], set()
         for i in a:
             for j in b:

@@ -36,10 +36,10 @@ CHAINS = shipped_chains(5)
 EXTRA = "A0"
 
 
-def _bind(code, chain, leaf=None):
+def _bind(code, chain):
     """The Program, or the error that binding raises."""
     try:
-        return masks.Program(code, chain, tuple(range(chain.size)) if leaf is None else leaf)
+        return masks.Program(code, chain, tuple(range(chain.size)))
     except MvlogicError as exc:
         return type(exc), str(exc)
 
