@@ -248,6 +248,7 @@ def suite_lemma_tr(trials: int = 200, seed: int = 7, exhaustive_n: int = 2) -> C
     under the induced assignment: exhaustive on the fixed corpus at
     n <= exhaustive_n, on the mask engine, plus seeded random formulas
     with sampled models at n <= 3."""
+
     def judge(full, direct, coded):
         return full, _same(direct, coded)
 
