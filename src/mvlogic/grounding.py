@@ -124,26 +124,21 @@ def taut_upto_grounded(chain: BaseChain, phi: Formula, bound: int) -> Verdict:
     """Check phi over all domain sizes 1..bound through the grounding:
     the verdict is taut-up-to-bound or the first (n, assignment)
     refutation."""
-    return _taut_upto_grounded(chain, phi, bound, {})
+    from . import masks  # masks grounds through this module
+
+    return _taut_upto_grounded(chain, phi, bound, masks.Compiled(universal_closure(phi)))
 
 
-def _taut_upto_grounded(chain: BaseChain, phi: Formula, bound: int, groundings: dict) -> Verdict:
-    """taut_upto_grounded, with the grounding at each domain size n, its
-    variables (the legend's names) and its Codes kept in groundings[n]
-    on first use: a caller that checks phi on several chains passes one
-    dict for all of them."""
-    from . import masks
-
+def _taut_upto_grounded(chain: BaseChain, phi: Formula, bound: int, compiled) -> Verdict:
+    """taut_upto_grounded with the groundings of phi's closure that
+    `compiled` holds, or grounds on first use: a caller that checks phi
+    on several chains passes one Compiled for all of them."""
     if bound < 1:
         raise GroundingError(f"bound must be >= 1, got {bound}")
-    closed = universal_closure(phi)
-    was_open = closed is not phi
+    was_open = compiled.phi is not phi
     for n in range(1, bound + 1):
-        if n not in groundings:
-            g = ground(closed, n)
-            groundings[n] = g, sorted(g.legend), masks.Compiled(g.formula)
-        g, names, compiled = groundings[n]
-        ok, witness = _taut_prop(require_finite(chain), compiled, names)
+        g, names, grounded = compiled.grounding(n)
+        ok, witness = _taut_prop(require_finite(chain), grounded, names)
         if not ok:
             return Verdict(False, bound, n, witness, g, was_open)
     return Verdict(True, bound, closed_input=was_open)

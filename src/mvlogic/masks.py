@@ -18,9 +18,11 @@ values the formula can reach from the grid.
 
 A formula is compiled once per domain size and cell layout into a Code,
 which holds no chain, and a Program binds that Code to one chain's
-tables, size and leaf map.  A caller that checks one formula on many
-chains keeps a Compiled for the length of its call and binds its Codes
-to each chain in turn.
+tables, size and leaf map.  A Compiled holds what a scan derives from
+a formula without a chain, its Codes and its groundings; a caller that
+checks one formula on many chains, with either checker, keeps one for
+the length of its call.  A grid scan tabulates the family on the
+instructions of the size-1 Code, which its first scan then runs.
 
 Every scan is one loop, Space.scan, over aligned chunks of ranks whose
 size is a power of the radix.  The first chunk holds about 2^10 ranks,
@@ -50,6 +52,7 @@ from .formulas import (
     StrongAnd,
     Var,
 )
+from .grounding import GroundedFormula, ground
 from .semantics import Model, check_cap
 
 FIRST_CHUNK_BITS = 1 << 10
@@ -76,9 +79,9 @@ class Space:
         if n < 1:
             raise InvalidParameterError("domain size must be >= 1")
         self.preds = sorted(sig)
+        check_cap(radix, sum(n**arity for arity in sig.values()), "models")
         domain = range(1, n + 1)
         cells = [(p, a) for p in self.preds for a in product(domain, repeat=sig[p])]
-        check_cap(radix ** len(cells), "models")
         self._index(cells, n, radix)
 
     @classmethod
@@ -267,19 +270,27 @@ class Code:
             live -= len(drops)
         self.peak = peak
 
+    def require(self, chain: Chain | RationalFamilyChain | GridTables) -> None:
+        """Raise what the Code cannot run on the chain, a missing delta first."""
+        if self.has_delta and not chain.has_delta:
+            raise UnsupportedChainError(f"chain {chain.name} has no delta operation")
+        if self.error is not None:
+            raise EvaluationError(self.error)
+
 
 class Compiled:
-    """A formula and its Codes, compiled on first use, one per cell
-    layout: what a caller that checks the formula on several chains
-    keeps for the length of its call, so that each chain binds the
-    Code the first one compiled.  The key is the space's domain size
-    and cells, which fix the Code; the chain and the radix do not."""
+    """A formula's chain-free work, made on first use and kept for the
+    length of one call, so that each chain binds what the first made:
+    its Codes, keyed by the space's domain size and cells, which fix the
+    Code (the chain and the radix do not), and per domain size its
+    grounding, the grounding's sorted variables and its own Compiled."""
 
-    __slots__ = ("phi", "_codes")
+    __slots__ = ("phi", "_codes", "_groundings")
 
     def __init__(self, phi: Formula):
         self.phi = phi
         self._codes: dict[tuple, Code] = {}
+        self._groundings: dict[int, tuple] = {}
 
     def code(self, space: Space) -> Code:
         key = (space.n, space.cells)
@@ -287,6 +298,15 @@ class Compiled:
         if code is None:
             code = self._codes[key] = Code(self.phi, space)
         return code
+
+    def grounding(self, n: int) -> tuple[GroundedFormula, list[str], "Compiled"]:
+        """The closed formula's grounding at domain size n, its
+        variables sorted, and its Compiled."""
+        found = self._groundings.get(n)
+        if found is None:
+            g = ground(self.phi, n)
+            found = self._groundings[n] = g, sorted(g.legend), Compiled(g.formula)
+        return found
 
 
 class Program:
@@ -297,10 +317,7 @@ class Program:
     `live_bits` bounds the mask bits per rank alive at once."""
 
     def __init__(self, code: Code, chain: Chain | GridTables, leaf: tuple[int, ...]):
-        if code.has_delta and not chain.has_delta:
-            raise UnsupportedChainError(f"chain {chain.name} has no delta operation")
-        if code.error is not None:
-            raise EvaluationError(code.error)
+        code.require(chain)
         self.code = code
         self.k = chain.size
         self.leaf = leaf
@@ -387,23 +404,22 @@ class GridTables:
         self.index = {v: i for i, v in enumerate(carrier)}.__getitem__
 
 
-class _CapPassed(Exception):
-    pass
+def grid_tables(chain: RationalFamilyChain, code: Code, values) -> GridTables | None:
+    """The tables of a closed formula over grid `values` on a rational
+    family, read from the formula's size-1 Code, or None as soon as
+    more than GRID_VALUE_CAP values are reachable.  Raises first what
+    the Code cannot run on the family, as binding it would.
 
-
-def grid_tables(chain: RationalFamilyChain, phi: Formula, values) -> GridTables | None:
-    """The tables of phi over grid `values` on a rational family, or None
-    as soon as more than GRID_VALUE_CAP values are reachable.
-
-    One bottom-up pass computes V(node), a superset of the values the
-    node takes on any model with cells in the grid: V(atom) is the grid,
-    V(bot) = {0}, a quantifier keeps the set of its body, /\\ and \\/
-    take the union, and the other connectives apply the family's own
-    star_fn and residuum_fn to every pair of child values, each
-    (operation, x, y) once.  The carrier is U, the union of every V with
-    the grid, 0 and 1, in order, so that index order is value order.  An
-    iff reads each residuum from the res entries when a res node has
-    made it already."""
+    One pass over the instructions computes V(register), a superset of
+    the values the register takes on any model, of any domain size,
+    with cells in the grid: V(cell) is the grid, V(bottom) = {0}, min
+    and max take the union (a quantifier at size 1 is its body), and
+    every other op applies the family's own star_fn and residuum_fn to
+    every pair of argument values, each (op, x, y) once.  The carrier
+    is U, the union of every V with the grid, 0 and 1, in order, so
+    that index order is value order.  An iff reads each residuum from
+    the res entries when a res instruction has made it already."""
+    code.require(chain)
     res = chain.residuum_fn
     fns = {
         "neg": lambda x, _: res(x, ZERO),
@@ -427,47 +443,34 @@ def grid_tables(chain: RationalFamilyChain, phi: Formula, values) -> GridTables 
         r = memo["res"].get((i, j))
         return res(found[i], found[j]) if r is None else found[r]
 
-    def walk(node) -> set:
-        t = type(node)
-        if t is Atom:
-            return grid
-        if t is Bottom:
-            return {0}
-        if t is Forall or t is Exists:
-            return walk(node.body)
-        if t is And or t is Or:
-            return walk(node.left) | walk(node.right)
-        if t is Not or t is Delta:  # unary: a dummy second argument
-            op, a, b = "neg" if t is Not else "delta", walk(node.sub), (0,)
-        elif t in _BINARY:
-            op, a, b = _BINARY[t], walk(node.left), walk(node.right)
-        else:
-            return set()  # binding the Code reports the node
-        fn, seen, out = fns[op], memo[op], set()
-        for i in a:
-            for j in b:
-                r = seen.get((i, j))
-                if r is None:
-                    x = min(residuum(i, j), residuum(j, i)) if fn is None else fn(found[i], found[j])
-                    r = seen[i, j] = intern(x)
-                out.add(r)
-            if len(found) > GRID_VALUE_CAP:
-                raise _CapPassed
-        return out
-
     intern(ZERO)  # index 0, the value of bot
     intern(ONE)
     grid = set(map(intern, values))
     if len(found) > GRID_VALUE_CAP:
         return None
-    try:
-        walk(phi)
-    except _CapPassed:
-        return None
+    sets: list[set] = []  # V of each register
+    for op, *args in code.instructions:
+        if op == "cell":
+            out = grid
+        elif op == "bottom":
+            out = {0}
+        elif op == "min" or op == "max":
+            out = set().union(*(sets[a] for a in args))
+        else:  # a unary op gets a dummy second argument
+            a, b = sets[args[0]], sets[args[1]] if len(args) == 2 else (0,)
+            fn, seen, out = fns[op], memo[op], set()
+            for i in a:
+                for j in b:
+                    r = seen.get((i, j))
+                    if r is None:
+                        x = fn(found[i], found[j]) if fn else min(residuum(i, j), residuum(j, i))
+                        r = seen[i, j] = intern(x)
+                    out.add(r)
+                if len(found) > GRID_VALUE_CAP:
+                    return None
+        sets.append(out)
     order = sorted(range(len(found)), key=found.__getitem__)
-    pos = [0] * len(found)
-    for p, i in enumerate(order):
-        pos[i] = p
+    pos = {i: p for p, i in enumerate(order)}
     tables: dict[str, dict] = {op: {} for op in fns}
     for op, seen in memo.items():
         for (i, j), r in seen.items():

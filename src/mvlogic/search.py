@@ -60,16 +60,18 @@ def _first_countermodel(
     The mask engine scans every domain size with the Codes that
     `compiled` holds, or compiles on first use, and eval_fo re-checks
     the witness it finds.  On a rational family the engine runs on the
-    values the formula can reach from the grid (masks.grid_tables),
-    tabulated once per call; past masks.GRID_VALUE_CAP of them, the
-    models are evaluated one by one with eval_fo instead."""
+    values the formula can reach from the grid, tabulated once per call
+    on the size-1 Code (masks.grid_tables); past GRID_VALUE_CAP of them,
+    the models are evaluated one by one with eval_fo instead."""
     from . import masks
 
     if max_size < 1:
         raise InvalidParameterError(f"max_size must be >= 1, got {max_size}")
     closed = compiled.phi
     sig = signature_of(closed)
-    tables = chain if isinstance(chain, Chain) else masks.grid_tables(chain, closed, values)
+    tables = chain
+    if not isinstance(chain, Chain):
+        tables = masks.grid_tables(chain, compiled.code(masks.Space(sig, 1, len(values))), values)
     if tables is None:
         for n in range(1, max_size + 1):
             for model in enumerate_models(sig, n, values):

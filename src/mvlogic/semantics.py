@@ -218,13 +218,13 @@ def _taut_prop(c: Chain, compiled, names: list[str]) -> tuple[bool, dict[str, Fr
     from . import masks
 
     phi = compiled.phi
-    space = masks.Space.of_variables(names, c.size)
     try:
-        check_cap(space.size, "assignments")
+        check_cap(c.size, len(names), "assignments")
     except CapExceededError:
         if has_delta(phi):
             c.delta(c.top)  # raises on a chain without delta: that error comes first
         raise
+    space = masks.Space.of_variables(names, c.size)
     program = masks.Program(compiled.code(space), c, tuple(range(c.size)))
     found = masks.first_rank(space, program)
     if found is None:
@@ -244,16 +244,18 @@ def _taut_prop(c: Chain, compiled, names: list[str]) -> tuple[bool, dict[str, Fr
 # Model enumeration
 
 
-def check_cap(total: int, what: str) -> None:
+def check_cap(radix: int, cells: int, what: str) -> None:
     """The one cap check of the exhaustive scans of assignments and
-    models: raises CapExceededError upfront if a scan of `total` points
-    exceeds the cap (MVLOGIC_ENUM_CAP, default 20e6)."""
+    models: raises CapExceededError upfront if a scan of radix**cells
+    points exceeds the cap (MVLOGIC_ENUM_CAP, default 20e6), without
+    building a count far past the cap; one past 64 bits reads radix^cells."""
     raw = os.environ.get(ENUM_CAP_ENV)
     try:
         cap = DEFAULT_ENUM_CAP if raw is None else int(raw)
     except ValueError:
         raise InvalidParameterError(f"{ENUM_CAP_ENV} must be an integer, not {raw!r}") from None
-    if total > cap:
+    if radix > 1 and cells >= cap.bit_length() or radix**cells > cap:  # 2**cells > cap
+        total = radix**cells if cells * radix.bit_length() <= 64 else f"{radix}^{cells}"
         raise CapExceededError(f"{total} {what} exceed the enumeration cap {cap}")
 
 

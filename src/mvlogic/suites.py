@@ -173,11 +173,11 @@ def _model_scan(chain: Chain, closed: Formula, max_n: int, terms, judge, case) -
     """Batches of cases, one per model of the closed formula's signature
     over {1..n}, n <= max_n, with values from chain's carrier.
 
-    Each term (term chain, compiled formula, leaf map or None for the
-    identity) is evaluated by the mask engine: the Code that the
-    compiled formula (a masks.Compiled, or a _Coded) gives for the
-    model space, bound to the term chain.  A suite that scans one
-    formula on several chains passes the same compiled formula for each.
+    Each term (term chain, code, leaf map or None for the identity) is
+    evaluated by the mask engine: the Code that code(space) gives for
+    the model space, bound to the term chain.  A suite that scans one
+    formula on several chains passes the code method of the same
+    masks.Compiled for each.
     judge(full, *term masks) gives the ranks that are cases and the
     ranks that pass.  Only a failing rank is decoded to a Model, and
     case(model) gives its (ok, message) with eval_fo, which must agree
@@ -187,8 +187,8 @@ def _model_scan(chain: Chain, closed: Formula, max_n: int, terms, judge, case) -
     for n in range(1, max_n + 1):
         space = masks.Space(sig, n, chain.size)
         programs = [
-            masks.Program(compiled.code(space), c, identity if leaf is None else leaf)
-            for c, compiled, leaf in terms
+            masks.Program(code(space), c, identity if leaf is None else leaf)
+            for c, code, leaf in terms
         ]
         for chunk, term_masks in space.scan(*programs):
             active, good = judge(chunk.full, *term_masks)
@@ -201,21 +201,13 @@ def _model_scan(chain: Chain, closed: Formula, max_n: int, terms, judge, case) -
             yield Batch(active.bit_count(), failures)
 
 
-class _Coded:
-    """The grounding of a closed formula at a model space's domain size,
-    compiled on the model space's cell positions, so that each cell
-    variable reads the cell it names: lemma-tr's second term.  The
-    grounding and its Codes are made on first use, once per size."""
-
-    def __init__(self, closed: Formula):
-        self.closed = closed
-        self._grounded: dict = {}  # n -> masks.Compiled of the grounding
-
-    def code(self, space: masks.Space) -> masks.Code:
-        if space.n not in self._grounded:
-            self._grounded[space.n] = masks.Compiled(ground(self.closed, space.n).formula)
-        names = [cell_variable(pred, args) for pred, args in space.cells]
-        return self._grounded[space.n].code(masks.Space.of_variables(names, space.radix))
+def _grounded_code(compiled: masks.Compiled, space: masks.Space) -> masks.Code:
+    """lemma-tr's second term: the grounding of compiled.phi at the
+    model space's domain size, compiled on the model space's cell
+    positions, so that each cell variable reads the cell it names."""
+    names = [cell_variable(pred, args) for pred, args in space.cells]
+    _, _, grounded = compiled.grounding(space.n)
+    return grounded.code(masks.Space.of_variables(names, space.radix))
 
 
 def _random_model(rng: random.Random, sig, n: int, carrier) -> Model:
@@ -255,15 +247,16 @@ def suite_lemma_tr(trials: int = 200, seed: int = 7, exhaustive_n: int = 2) -> C
     checks = []
     for phi in corpus.fixed_corpus():
         closed = universal_closure(phi)
-        checks.append((phi, closed, masks.Compiled(closed), _Coded(closed)))
+        checks.append((phi, closed, masks.Compiled(closed)))
     chains = _lemma_tr_chains()
     for chain in chains:
-        for phi, closed, direct, coded in checks:
+        for phi, closed, compiled in checks:
 
             def case(model):
                 return next(_coding_cases(chain, phi, model.domain_size, [model]))
 
-            terms = [(chain, direct, None), (chain, coded, None)]
+            coded = functools.partial(_grounded_code, compiled)
+            terms = [(chain, compiled.code, None), (chain, coded, None)]
             yield from _model_scan(chain, closed, exhaustive_n, terms, judge, case)
     rng = random.Random(seed)
     for _ in range(trials):
@@ -350,7 +343,7 @@ def suite_lemma_gc(max_n: int = 2) -> Cases:
                     f"{chain.name} {pretty(phi)}: {a} vs {b} (allowed: {a in allowed})",
                 )
 
-            terms = [(chain, compiled, None), (chain, compiled, plus_leaf)]
+            terms = [(chain, compiled.code, None), (chain, compiled.code, plus_leaf)]
             yield from _model_scan(chain, closed, max_n, terms, judge, case)
 
 
@@ -389,9 +382,9 @@ def suite_lemma_gc1(max_n: int = 2) -> Cases:
                 )
 
             terms = [
-                (chain, compiled_star, plus_leaf),
-                (frag.chain, compiled_star, fragment_leaf),
-                (frag.chain, compiled, fragment_leaf),
+                (chain, compiled_star.code, plus_leaf),
+                (frag.chain, compiled_star.code, fragment_leaf),
+                (frag.chain, compiled.code, fragment_leaf),
             ]
             yield from _model_scan(chain, closed, max_n, terms, judge, case)
 
@@ -435,7 +428,7 @@ def suite_lemma_pred(max_n: int = 2) -> Cases:
                 "appears as a subformula value despite a positive guard",
             )
 
-        terms = [(chain, masks.Compiled(guard), None), (chain, masks.Compiled(fixed), None)]
+        terms = [(chain, masks.Compiled(g).code, None) for g in (guard, fixed)]
         yield from _model_scan(chain, fixed, max_n, terms, judge, case)
 
 
@@ -446,7 +439,7 @@ def suite_lemma_luk1(max_n: int = 2) -> Cases:
     checks = []
     for phi in corpus.classical_corpus():
         closed = universal_closure(phi)
-        checks.append((phi, closed, masks.Compiled(predef(phi)), masks.Compiled(closed)))
+        checks.append((phi, closed, masks.Compiled(predef(phi)).code, masks.Compiled(closed).code))
     for chain in [make_chain("lukasiewicz", 2), make_chain("lukasiewicz", 3)]:
         profile = negation_profile(chain)
         plus = {chain.carrier[i] for i in profile.a_plus}
@@ -457,7 +450,7 @@ def suite_lemma_luk1(max_n: int = 2) -> Cases:
             in_plus = _union(val[i] for i in profile.a_plus)
             return full ^ guard[0], full ^ in_plus ^ bool_val[1]
 
-        for phi, closed, guard, compiled in checks:
+        for phi, closed, guard, code in checks:
 
             def case(model):
                 val = eval_fo(chain, model, {}, closed)
@@ -468,7 +461,7 @@ def suite_lemma_luk1(max_n: int = 2) -> Cases:
                     f"{val in plus} but collapse gives {bool_val}",
                 )
 
-            terms = [(chain, guard, None), (chain, compiled, None), (two, compiled, collapse)]
+            terms = [(chain, guard, None), (chain, code, None), (two, code, collapse)]
             yield from _model_scan(chain, closed, max_n, terms, judge, case)
 
 
@@ -488,12 +481,13 @@ def _reduction_suite(translate, chains, reference, bound, formulas) -> Cases:
     checked once per formula, and the translation grounded and compiled
     once for every chain."""
     checks = [
-        (phi, translate(phi), {}, taut_upto_grounded(reference, phi, bound))
+        (phi, masks.Compiled(universal_closure(translate(phi))),
+         taut_upto_grounded(reference, phi, bound))
         for phi in formulas
     ]
     for chain in chains:
-        for phi, translated, groundings, expected in checks:
-            verdict = _taut_upto_grounded(chain, translated, bound, groundings)
+        for phi, compiled, expected in checks:
+            verdict = _taut_upto_grounded(chain, compiled.phi, bound, compiled)
             yield _agree(chain, phi, verdict, expected)
 
 
@@ -564,7 +558,7 @@ def suite_fo_axioms(max_n: int = 2, max_chain_size: int = 5) -> Cases:
                     f"{chain.name} {name} {pretty(phi)}: value {val}",
                 )
 
-            terms = [(chain, compiled, None)]
+            terms = [(chain, compiled.code, None)]
             yield from _model_scan(chain, closed, max_n, terms, judge, case)
 
 
@@ -593,10 +587,10 @@ def suite_oracle_agreement() -> Cases:
         (make_chain("lukasiewicz", 3), 2),
         (make_chain("nm", 4), 2),
     ]
-    checks = [(phi, {}, masks.Compiled(universal_closure(phi))) for phi in corpus.fixed_corpus()]
+    checks = [(phi, masks.Compiled(universal_closure(phi))) for phi in corpus.fixed_corpus()]
     for chain, bound in plan:
-        for phi, groundings, compiled in checks:
-            grounded = _taut_upto_grounded(chain, phi, bound, groundings)
+        for phi, compiled in checks:
+            grounded = _taut_upto_grounded(chain, phi, bound, compiled)
             yield _agree(chain, phi, grounded, _taut_upto_direct(chain, phi, bound, compiled))
 
 

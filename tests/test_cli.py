@@ -395,6 +395,25 @@ class TestBadInputExits2:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "MVLOGIC_ENUM_CAP" in err
 
+    @pytest.mark.parametrize("command, what", [
+        (["search", "--max-size", "2"], "models"),
+        (["taut", "--bound", "2"], "assignments"),
+    ], ids=["search", "taut"])
+    def test_count_too_long_to_print_exits_2(self, tmp_path, monkeypatch, capsys, command, what):
+        """A 14-ary predicate at n = 2 has 2^14 cells on boolean: 2^16384
+        models or assignments, a count of 4,933 digits."""
+        monkeypatch.delenv("MVLOGIC_ENUM_CAP", raising=False)
+        chain = tmp_path / "boolean.chain"
+        chain.write_text(chain_to_text(make_chain("boolean")))
+        xs = ",".join(f"x{i}" for i in range(14))
+        formula = " ".join(f"forall x{i}." for i in range(14)) + f" (P({xs}) -> P({xs}))"
+        with pytest.raises(SystemExit) as exc:
+            main_argv([command[0], "--chain", str(chain), *command[1:], "--formula", formula])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: 2^16384 {what} exceed the enumeration cap 20000000"
+        ]
+
     def test_deep_formula_subprocess(self):
         result = run_mvlogic(["parse", "--kind", "prop", "--formula", "~" * 5000 + "p"])
         assert result.returncode == 2

@@ -16,10 +16,15 @@ rank read the size-1 value.
 A certificate is checked by eval_fo, so ref decides which edits of a
 model cell leave it a real countermodel: those must still verify, and
 every other single edit must be rejected.
+
+The two bounded checkers are compared with ref's exhaustive scans on
+seeded chains and formulas: their verdicts agree, and each witness is
+the first one ref's canonical order finds.
 """
 
 import importlib.util
 import itertools
+import random
 from pathlib import Path
 
 from mvlogic import (
@@ -27,11 +32,14 @@ from mvlogic import (
     MvlogicError,
     certificate_from_text,
     certificate_to_text,
+    count_models,
+    delta_expand,
     eval_fo,
     find_countermodel,
     ground,
     is_taut_prop,
     make_chain,
+    make_wnm_chain,
     masks,
     pretty,
     signature_of,
@@ -39,6 +47,22 @@ from mvlogic import (
     verify_certificate,
 )
 from mvlogic.corpus import fixed_corpus
+from mvlogic.errors import InvalidNegationError, UnsupportedChainError
+from mvlogic.formulas import (
+    And,
+    Atom,
+    Bottom,
+    Delta,
+    Exists,
+    Forall,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    StrongAnd,
+)
+from mvlogic.grounding import _taut_upto_grounded, cell_variable
+from mvlogic.search import _taut_upto_direct
 from mvlogic.suites import _lemma_tr_chains
 
 _spec = importlib.util.spec_from_file_location(
@@ -212,3 +236,113 @@ def test_corpus_certificates_read_back_and_reject_single_edits():
             for name, edited in edits.items():
                 assert _rejected(edited), (name, chain.name, cert.formula_text)
     assert (certificates, cell_edits, kept) == (58, 55, 16)
+
+
+# ---------------------------------------------------------------------------
+# The two bounded checkers against ref
+
+
+def _random_wnm(rng, k):
+    """A seeded weak negation on k points, as make_wnm_chain checks them,
+    with its chain and ref's."""
+    while True:
+        neg = (k - 1, *sorted(rng.choices(range(k), k=k - 2), reverse=True), 0)
+        try:
+            return make_wnm_chain(neg, "wnm"), ref.wnm(neg)
+        except InvalidNegationError:
+            continue
+
+
+def _checker_chains(rng):
+    """(mvlogic chain, ref chain) pairs: three random WNM negations,
+    the named families, and delta expansions of three of them."""
+    pairs = [_random_wnm(rng, k) for k in (4, 5, 6)]
+    pairs += [
+        (make_chain("boolean"), ref.boolean()),
+        (make_chain("lukasiewicz", 2), ref.lukasiewicz(2)),
+        (make_chain("godel", 3), ref.godel(3)),
+        (make_chain("nm", 4), ref.nm(4)),
+        (make_chain("dp", 3), ref.dp(3)),
+    ]
+    pairs += [(delta_expand(c), ref.with_delta(r)) for c, r in pairs[3:6]]
+    for chain, ref_chain in pairs:
+        assert chain.carrier == ref_chain.carrier and chain.has_delta == ref_chain.delta
+    return pairs
+
+
+# Predicate names with "_", digits and "'", of arities 0, 1 and 2;
+# p(1,1) and p_1(1) would share a variable if "_" were not doubled.
+CHECKER_PREDICATES = {"B0": 0, "p_1": 1, "Q'": 1, "p": 2}
+
+
+def _random_formula(rng, depth):
+    """A seeded first-order formula with delta among its connectives,
+    over the variables x and y, which the closure binds."""
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.1:
+            return Bottom()
+        pred = rng.choice(sorted(CHECKER_PREDICATES))
+        return Atom(pred, tuple(rng.choice("xy") for _ in range(CHECKER_PREDICATES[pred])))
+    kind = rng.choice([Not, Delta, And, StrongAnd, Implies, Or, Iff, Forall, Exists])
+    if kind in (Not, Delta):
+        return kind(_random_formula(rng, depth - 1))
+    if kind in (Forall, Exists):
+        return kind(rng.choice("xy"), _random_formula(rng, depth - 1))
+    return kind(_random_formula(rng, depth - 1), _random_formula(rng, depth - 1))
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except MvlogicError as exc:
+        return type(exc)
+
+
+def test_both_checkers_find_refs_first_witness():
+    """On seeded chains and formulas at bound 2: the grounded and the
+    direct checker agree on (is_taut, refuted_at), the direct witness is
+    ref's first countermodel, and the grounded witness is ref's first
+    refuting assignment at the refuting size.  A formula with delta on
+    a chain without it raises in both checkers, as it does in ref."""
+    rng = random.Random(24)
+    bound, max_points = 2, 800
+    chains = _checker_chains(rng)
+    seen = {"taut": 0, "refuted": 0, "no delta": 0}
+    for _ in range(120):
+        a, b = (_random_formula(rng, rng.randint(0, 2)) for _ in "ab")
+        # Most random formulas are refuted: every third one is an MTL
+        # tautology schema over random parts.
+        phi = rng.choice([
+            _random_formula(rng, rng.randint(1, 3)),
+            _random_formula(rng, rng.randint(1, 3)),
+            rng.choice([Implies(a, Or(a, b)), Implies(StrongAnd(a, b), a), Implies(Delta(a), a)]),
+        ])
+        closed = universal_closure(phi)
+        sig = signature_of(closed)
+        ref_phi = ref.parse(pretty(closed))
+        for chain, ref_chain in chains:
+            if sum(count_models(sig, n, chain.carrier) for n in (1, 2)) > max_points:
+                continue
+            store = masks.Compiled(closed)
+            grounded = _outcome(_taut_upto_grounded, chain, phi, bound, store)
+            direct = _outcome(_taut_upto_direct, chain, phi, bound, store)
+            try:
+                expected = ref.first_countermodel(ref_chain, ref_phi, bound, ref_chain.carrier)
+            except ValueError:  # ref's delta on a chain without one
+                assert grounded is direct is UnsupportedChainError, pretty(phi)
+                seen["no delta"] += 1
+                continue
+            assert (grounded.is_taut, grounded.refuted_at) == (direct.is_taut, direct.refuted_at)
+            if expected is None:
+                assert direct.is_taut, (chain.name, pretty(phi))
+                seen["taut"] += 1
+                continue
+            n, table = expected
+            model = direct.witness["model"]
+            assert (direct.refuted_at, model.domain_size) == (n, n), (chain.name, pretty(phi))
+            assert {(p, a): v for p in model.tables for a, v in model.tables[p].items()} == table
+            names = {cell_variable(p, a): (p, a) for p, a in ref.occurring_cells(ref_phi, n)}
+            assert grounded.grounded.legend == names
+            assert grounded.witness == ref.first_refuting_assignment(ref_chain, ref_phi, n, names)
+            seen["refuted"] += 1
+    assert min(seen.values()) >= 150, seen

@@ -18,6 +18,7 @@ import contextlib
 import hashlib
 import itertools
 import re
+import time
 from fractions import Fraction as F
 from unittest import mock
 
@@ -261,6 +262,13 @@ GRIDS = [
 ]
 
 
+def _grid_tables(chain, closed, values):
+    """grid_tables over the size-1 Code of a closed formula, as the grid
+    scan computes it."""
+    code = masks.Code(closed, masks.Space(signature_of(closed), 1, len(values)))
+    return masks.grid_tables(chain, code, values)
+
+
 @PROPERTY
 @given(
     chain=st.sampled_from(RATIONAL),
@@ -282,7 +290,7 @@ def test_grid_scan_is_the_fraction_loop(chain, phi, values, max_size, cap):
         return
     with patch:
         if cap == 0:  # past the cap: the model-by-model loop answers
-            assert masks.grid_tables(chain, closed, values) is None
+            assert _grid_tables(chain, closed, values) is None
         cert = find_countermodel(chain, closed, max_size, values)
     if oracle is None:
         assert cert is None
@@ -292,13 +300,13 @@ def test_grid_scan_is_the_fraction_loop(chain, phi, values, max_size, cap):
 
 def test_grid_tables_are_the_reachable_values():
     chain = make_rational_chain("product")
-    tables = masks.grid_tables(chain, parse("forall x. (P(x) & P(x))"), (F(1, 2), F(1, 3)))
+    tables = _grid_tables(chain, parse("forall x. (P(x) & P(x))"), (F(1, 2), F(1, 3)))
     assert tables.carrier == [F(0), F(1, 9), F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(1)]
     # Only the pairs that the formula reaches are tabulated.
     assert tables.operation_tables["star"] == {4: {4: 1, 5: 2}, 5: {4: 2, 5: 3}}
     assert tables.operation_tables["res"] == {}
     with mock.patch.object(masks, "GRID_VALUE_CAP", 6):
-        assert masks.grid_tables(chain, parse("P(x) & P(x)"), (F(1, 2), F(1, 3))) is None
+        assert _grid_tables(chain, universal_closure(parse("P(x) & P(x)")), (F(1, 2), F(1, 3))) is None
 
 
 def test_grid_residuum_is_the_family_own():
@@ -369,6 +377,17 @@ class TestChunks:
         monkeypatch.setenv("MVLOGIC_ENUM_CAP", "8")
         with pytest.raises(CapExceededError, match="9 models exceed the enumeration cap 8"):
             masks.Space({"P": 1}, 2, 3)
+
+    def test_cap_is_decided_from_the_cell_count(self, monkeypatch):
+        """2^30 cells: refused before a cell is listed, and the count,
+        2^30 bits long, is written as a power."""
+        monkeypatch.delenv("MVLOGIC_ENUM_CAP", raising=False)
+        start = time.perf_counter()
+        with mock.patch.object(masks, "product", side_effect=AssertionError("cells listed")):
+            with pytest.raises(CapExceededError,
+                               match=r"^2\^1073741824 models exceed the enumeration cap 20000000$"):
+                masks.Space({"P": 30}, 2, 2)
+        assert time.perf_counter() - start < 0.5
 
 
 def test_every_scan_runs_programs_inside_space_scan():
@@ -465,6 +484,22 @@ def test_which_error_a_formula_raises_on_a_chain_without_delta(check, phi, error
         check(*args)
 
 
+@pytest.mark.parametrize("cap", [None, 6], ids=["under-the-cap", "past-the-cap"])
+@pytest.mark.parametrize("var_first", [True, False], ids=["var-first", "var-last"])
+def test_a_grid_scan_reports_an_unevaluable_node_at_any_reach(var_first, cap):
+    """The grid scan raises what the size-1 Code cannot run before it
+    tabulates, so the error does not depend on whether the values that
+    the formula reaches from the grid pass GRID_VALUE_CAP (patched to 6,
+    they do)."""
+    phi = parse("forall x. (P(x) & P(x) & P(x)) -> (P(x) & P(x))")
+    grid = (F(1, 2), F(1, 3), F(2, 3))
+    patch = contextlib.nullcontext() if cap is None else mock.patch.object(masks, "GRID_VALUE_CAP", cap)
+    with patch:
+        assert (_grid_tables(_PRODUCT, phi, grid) is None) == (cap is not None)
+        with pytest.raises(EvaluationError, match=r"^cannot evaluate node Var\(name='p'\)$"):
+            find_countermodel(_PRODUCT, And(Var("p"), phi) if var_first else And(phi, Var("p")), 1, grid)
+
+
 def test_an_unevaluable_node_after_delta_on_a_chain_with_delta():
     chain = delta_expand(_LUK3)
     with pytest.raises(EvaluationError, match=r"^cannot evaluate node Atom\(pred='P', args=\(\)\)$"):
@@ -487,7 +522,7 @@ def test_grid_tables_of_the_corpus_are_pinned():
     digest = hashlib.sha256()
     for chain in RATIONAL:
         for phi in fixed_corpus():
-            tables = masks.grid_tables(chain, universal_closure(phi), GRIDS[0])
+            tables = _grid_tables(chain, universal_closure(phi), GRIDS[0])
             rows = [
                 (op, sorted((i, sorted(row.items()) if isinstance(row, dict) else row)
                             for i, row in table.items()))
@@ -508,7 +543,7 @@ def test_suite_scan_reports_failing_ranks_in_order():
         return value == 1, f"{value} at {sorted(model.table('P').values())}"
 
     batches = list(
-        _model_scan(chain, closed, 2, [(chain, masks.Compiled(closed), None)],
+        _model_scan(chain, closed, 2, [(chain, masks.Compiled(closed).code, None)],
                     lambda full, v: (full, v[2]), case)
     )
     assert all(isinstance(b, Batch) for b in batches)

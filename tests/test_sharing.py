@@ -5,9 +5,11 @@ formula once per domain size and cell layout and bind that Code to each
 chain of a call.  Here every such shared Code gives, on every chunk, the
 masks of a Code compiled afresh for that chain: on the model space, on
 the grounded checker's variable space, and on lemma-tr's grounding laid
-out on the model space's cells.  The domain-permutation properties check
-the cell positions that a shared Code carries: renaming the domain
-elements of a model leaves a closed formula's value where it was.
+out on the model space's cells, all held by one masks.Compiled; and both
+checkers sharing one Compiled give the verdicts of fresh calls.  The
+domain-permutation properties check the cell positions that a shared
+Code carries: renaming the domain elements of a model leaves a closed
+formula's value where it was.
 """
 
 import itertools
@@ -21,6 +23,7 @@ from mvlogic import (
     make_wnm_chain,
     parse,
     signature_of,
+    taut_upto_direct,
     taut_upto_grounded,
     universal_closure,
 )
@@ -29,7 +32,8 @@ from mvlogic.corpus import fixed_corpus
 from mvlogic.errors import MvlogicError
 from mvlogic.formulas import pretty, prop_variables
 from mvlogic.grounding import _taut_upto_grounded, cell_variable
-from mvlogic.suites import _Coded, shipped_chains
+from mvlogic.search import _taut_upto_direct
+from mvlogic.suites import _grounded_code, shipped_chains
 
 CHAINS = shipped_chains(5)
 # A predicate that sorts before P, Q and R, so that it moves every cell.
@@ -73,13 +77,15 @@ def test_a_shared_code_is_a_fresh_compile_on_the_model_space(phi):
 
 @pytest.mark.parametrize("phi", fixed_corpus(), ids=pretty)
 def test_shared_groundings_are_fresh_compiles_on_the_variable_space(phi):
-    """The grounded checker's groundings, kept across the chains of one
-    call, give each chain the verdict and the masks of a fresh check."""
+    """The grounded checker's groundings, kept in the formula's Compiled
+    across the chains of one call, give each chain the verdict and the
+    masks of a fresh check."""
     closed = universal_closure(phi)
-    groundings = {}
+    store = masks.Compiled(closed)
     for chain in CHAINS:
-        assert _taut_upto_grounded(chain, phi, 2, groundings) == taut_upto_grounded(chain, phi, 2)
-        for n, (g, names, compiled) in groundings.items():
+        assert _taut_upto_grounded(chain, phi, 2, store) == taut_upto_grounded(chain, phi, 2)
+        for n in (1, 2):
+            g, names, compiled = store.grounding(n)
             fresh_formula = ground(closed, n).formula
             assert g.formula == fresh_formula
             assert names == sorted(prop_variables(fresh_formula))
@@ -90,18 +96,28 @@ def test_shared_groundings_are_fresh_compiles_on_the_variable_space(phi):
 
 
 @pytest.mark.parametrize("phi", fixed_corpus(), ids=pretty)
+def test_both_checkers_sharing_one_store_give_fresh_verdicts(phi):
+    """One Compiled serves both checkers on every chain, as in
+    oracle-agreement: each verdict is that of a fresh public call."""
+    store = masks.Compiled(universal_closure(phi))
+    for chain in CHAINS:
+        assert _taut_upto_grounded(chain, phi, 2, store) == taut_upto_grounded(chain, phi, 2)
+        assert _taut_upto_direct(chain, phi, 2, store) == taut_upto_direct(chain, phi, 2)
+
+
+@pytest.mark.parametrize("phi", fixed_corpus(), ids=pretty)
 def test_a_shared_grounding_is_a_fresh_compile_on_model_cells(phi):
     """lemma-tr's grounding, compiled on the model space's cell order and
     run on the model space's chunks, shared across the chains."""
     closed = universal_closure(phi)
     sig = signature_of(closed)
-    coded = _Coded(closed)
+    store = masks.Compiled(closed)
     for chain in CHAINS:
         for n in (1, 2):
             space = masks.Space(sig, n, chain.size)
             names = [cell_variable(pred, args) for pred, args in space.cells]
             cells = masks.Space.of_variables(names, chain.size)
-            shared = _bind(coded.code(space), chain)
+            shared = _bind(_grounded_code(store, space), chain)
             fresh = _bind(masks.Code(ground(closed, n).formula, cells), chain)
             _assert_same_masks(space, shared, fresh)
 
