@@ -25,9 +25,14 @@ the length of its call.  A grid scan tabulates the family on the
 instructions of the size-1 Code, which its first scan then runs.
 
 Every scan is one loop, Space.scan, over aligned chunks of ranks whose
-size is a power of the radix.  The first chunk holds about 2^10 ranks,
-so an early refutation stays cheap; later chunks grow up to about 2^22
-ranks, or less when the masks alive at once would exceed MASK_BUDGET_BITS.
+size is a power of the radix.  The first chunk holds about 2^12 ranks:
+a run of a Program pays the interpreter for each instruction more than
+the width of its masks, so a wider first chunk costs an early refutation
+little and leaves most small scans one run.  A 20-instruction grounded
+Code on nm(6) ran once in about 24, 26, 35, 72 and 275 us over chunks
+of 36, 216, 1296, 7776 and 46656 ranks (one core of a 2-vCPU Xeon).
+Later chunks grow up to about 2^22 ranks, or less when the masks alive
+at once would exceed MASK_BUDGET_BITS.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from .formulas import (
 from .grounding import GroundedFormula, ground
 from .semantics import Model, check_cap
 
-FIRST_CHUNK_BITS = 1 << 10
+FIRST_CHUNK_BITS = 1 << 12
 MAX_CHUNK_BITS = 1 << 22
 MASK_BUDGET_BITS = 1 << 28  # about 32 MB of masks alive at once
 GRID_VALUE_CAP = 256  # reachable values of a rational-grid scan on the masks
@@ -98,21 +103,21 @@ class Space:
         self.n = n
         self.radix = radix
         self.size = radix ** len(cells)
+        self.places = [radix**i for i in range(len(cells) - 1, -1, -1)]  # cell -> place value
+        self.identity = tuple(range(radix))
         self.position = {cell: i for i, cell in enumerate(cells)}
         self._patterns: dict = {}
 
     def digits(self, rank: int) -> list[int]:
         """The digits of the given rank, cell 0 first."""
         radix = self.radix
-        return [rank // radix**i % radix for i in range(len(self.cells) - 1, -1, -1)]
+        return [rank // place % radix for place in self.places]
 
     def model(self, rank: int, values) -> Model:
         """The model of the given rank, digit d read as values[d]."""
         tables = {pred: {} for pred in self.preds}
-        place = self.size
-        for pred, args in self.cells:
-            place //= self.radix
-            tables[pred][args] = values[rank // place % self.radix]
+        for (pred, args), d in zip(self.cells, self.digits(rank)):
+            tables[pred][args] = values[d]
         return Model(self.n, tables)
 
     def scan(self, *programs: "Program") -> Iterator[tuple["Chunk", list[list[int]]]]:
@@ -158,15 +163,21 @@ class Chunk:
         self.full = (1 << size) - 1
 
     def cell(self, i: int, leaf: tuple[int, ...], k: int) -> list[int]:
-        """Masks of cell i, its digit d read as target index leaf[d]."""
+        """Masks of cell i, its digit d read as target index leaf[d].  When
+        the k target indices are the radix digits themselves, these are
+        the space's cached digit patterns: no caller mutates them."""
         space = self.space
-        place = space.radix ** (len(space.cells) - 1 - i)
-        out = [0] * k
+        place = space.places[i]
         if place >= self.size:  # the digit is constant over the chunk
+            out = [0] * k
             out[leaf[self.start // place % space.radix]] = self.full
-        else:
-            for d, pattern in enumerate(space.digit_patterns(place, self.size)):
-                out[leaf[d]] |= pattern
+            return out
+        patterns = space.digit_patterns(place, self.size)
+        if k == space.radix and leaf == space.identity:
+            return patterns
+        out = [0] * k
+        for d, pattern in enumerate(patterns):
+            out[leaf[d]] |= pattern
         return out
 
 
@@ -237,7 +248,11 @@ class Code:
                 raise EvaluationError(f"cannot evaluate node {node!r}")
             if op == "min" or op == "max":
                 # Order and repeats do not matter; of one register, it.
-                args = sorted(set(ins[1:]))
+                if len(ins) == 3:
+                    a, b = ins[1], ins[2]
+                    args = (a,) if a == b else (a, b) if a < b else (b, a)
+                else:
+                    args = sorted(set(ins[1:]))
                 if len(args) == 1:
                     seen[key] = args[0]
                     return args[0]
@@ -327,24 +342,30 @@ class Program:
     def run(self, chunk: Chunk) -> list[int]:
         """The formula's masks over the chunk."""
         k, full, code = self.k, chunk.full, self.code
-        regs: list = [None] * len(code.instructions)
-        for i, (op, *args) in enumerate(code.instructions):
+        instructions, drops, tables = code.instructions, code.drops, self.tables
+        regs: list = [None] * len(instructions)
+        for i in range(len(instructions)):
+            ins = instructions[i]
+            op = ins[0]
             if op == "cell":
-                out = chunk.cell(args[0], self.leaf, k)
+                out = chunk.cell(ins[1], self.leaf, k)
             elif op == "min" or op == "max":
-                out = _fold([regs[a] for a in args], op == "min", k, full)
+                if len(ins) == 3:
+                    out = _min_max(regs[ins[1]], regs[ins[2]], op == "min", k)
+                else:
+                    out = _fold([regs[a] for a in ins[1:]], op == "min", k, full)
             elif op == "bottom":
                 out = [full] + [0] * (k - 1)
-            elif len(args) == 1:  # neg, delta: index v becomes table[v]
+            elif len(ins) == 2:  # neg, delta: index v becomes table[v]
                 out = [0] * k
-                table = self.tables[op]
-                for v, mask in enumerate(regs[args[0]]):
+                table = tables[op]
+                for v, mask in enumerate(regs[ins[1]]):
                     if mask:
                         out[table[v]] |= mask
             else:
-                out = _pairs(self.tables[op], regs[args[0]], regs[args[1]], k)
+                out = _pairs(tables[op], regs[ins[1]], regs[ins[2]], k)
             regs[i] = out
-            for reg in code.drops[i]:
+            for reg in drops[i]:
                 regs[reg] = None
         return regs[code.result]
 
@@ -365,9 +386,24 @@ def _pairs(table, a: list[int], b: list[int], k: int) -> list[int]:
     return out
 
 
+def _min_max(a: list[int], b: list[int], meet: bool, k: int) -> list[int]:
+    """Rank-wise min (meet) or max of two registers in one pass over
+    the values, from the top for min and from the bottom for max:
+    min(a, b) = v iff a = v and b >= v, or b = v and a > v."""
+    out = [0] * k
+    past_a = past_b = 0  # ranks where a (b) is beyond v
+    for v in range(k - 1, -1, -1) if meet else range(k):
+        x, y = a[v], b[v]
+        if x or y:
+            out[v] = x & (y | past_b) | y & past_a
+            past_a |= x
+            past_b |= y
+    return out
+
+
 def _fold(args: list[list[int]], meet: bool, k: int, full: int) -> list[int]:
-    """Rank-wise min (meet) or max of the args, through their up-set
-    masks: min(a, b) >= v iff a >= v and b >= v."""
+    """Rank-wise min (meet) or max of any number of args, through their
+    up-set masks: min(a, b) >= v iff a >= v and b >= v."""
     acc = None
     for masks in args:
         up, run = [0] * k, 0

@@ -69,9 +69,10 @@ def _first_countermodel(
         raise InvalidParameterError(f"max_size must be >= 1, got {max_size}")
     closed = compiled.phi
     sig = signature_of(closed)
+    space = masks.Space(sig, 1, len(values))  # a grid tabulates on its Code, then scans it
     tables = chain
     if not isinstance(chain, Chain):
-        tables = masks.grid_tables(chain, compiled.code(masks.Space(sig, 1, len(values))), values)
+        tables = masks.grid_tables(chain, compiled.code(space), values)
     if tables is None:
         for n in range(1, max_size + 1):
             for model in enumerate_models(sig, n, values):
@@ -83,7 +84,8 @@ def _first_countermodel(
     full = values is tables.carrier
     leaf = tuple(range(len(values))) if full else tuple(map(tables.index, values))
     for n in range(1, max_size + 1):
-        space = masks.Space(sig, n, len(values))
+        if n > 1:
+            space = masks.Space(sig, n, len(values))
         found = masks.first_rank(space, masks.Program(compiled.code(space), tables, leaf))
         if found is not None:
             rank, index = found

@@ -317,6 +317,63 @@ def test_grid_residuum_is_the_family_own():
     assert find_countermodel(make_chain("dp", 3), parse("~P(x)"), 2, (F(1, 2),)).value == F(1, 2)
 
 
+@pytest.mark.parametrize("family", ["godel", "lukasiewicz", "nm"])
+def test_a_grid_of_the_first_carrier_values_reads_cells_through_its_leaf(family):
+    """Grid (0, 1/2) reaches the carrier [0, 1/2, 1]: its leaf is the
+    identity on two digits, but a cell's masks must still be three."""
+    cert = find_countermodel(
+        make_rational_chain(family), parse("forall x. (P(x) \\/ ~P(x))"), 2, (F(0), F(1, 2))
+    )
+    assert cert.model.tables["P"] == {(1,): F(1, 2)}
+    assert cert.value == F(1, 2)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+@pytest.mark.parametrize("meet", [True, False])
+def test_two_register_min_max_is_the_fold(k, meet):
+    """Every pair of one-hot mask lists over a two-rank chunk."""
+    full = 0b11
+    one_hot = []
+    for first, second in itertools.product(range(k), repeat=2):
+        reg = [0] * k
+        reg[first] |= 0b01
+        reg[second] |= 0b10
+        one_hot.append(reg)
+    for a, b in itertools.product(one_hot, repeat=2):
+        assert masks._min_max(a, b, meet, k) == masks._fold([a, b], meet, k, full)
+
+
+def test_a_run_leaves_the_shared_digit_patterns_as_they_were():
+    """A cell read with the identity leaf is the space's own pattern
+    list: two runs agree, and every pattern is still what a fresh space
+    computes."""
+    chain = delta_expand(make_chain("nm", 4))
+    space = masks.Space({"P": 1, "Q": 1}, 2, chain.size)
+    phi = parse("forall x. exists y. ((P(x) & Q(y) -> P(x) /\\ Q(y)) <-> ~!(P(y) \\/ Q(x)))")
+    program = masks.Program(masks.Code(phi, space), chain, tuple(range(chain.size)))
+    chunk = masks.Chunk(space, 0, space.size)
+    first = program.run(chunk)
+    assert space._patterns
+    assert program.run(chunk) == first
+    fresh = masks.Space({"P": 1, "Q": 1}, 2, chain.size)
+    for (place, size), patterns in space._patterns.items():
+        assert patterns == fresh.digit_patterns(place, size)
+
+
+def test_a_grid_search_builds_its_size_1_space_once():
+    built = []
+    init = masks.Space.__init__
+
+    def counted(space, sig, n, radix):
+        built.append(n)
+        init(space, sig, n, radix)
+
+    with mock.patch.object(masks.Space, "__init__", counted):
+        cert = find_countermodel(make_rational_chain("product"), parse("P(x) -> (P(x) & P(x))"), 2, GRIDS[0])
+    assert cert is not None
+    assert built.count(1) == 1
+
+
 @PROPERTY
 @given(chain=chains, phi=prop_formulas)
 def test_is_taut_prop_is_the_first_failing_assignment(chain, phi):
@@ -372,6 +429,19 @@ class TestChunks:
         program = masks.Program(masks.Code(parse("forall x. P(x)"), space), make_chain("boolean"), (0, 1))
         with mock.patch.object(masks, "MASK_BUDGET_BITS", 64 * program.live_bits):
             assert max(c.size for c, _ in space.scan(program)) == 64
+
+    @pytest.mark.parametrize("sig, n, radix, first, chunks", [
+        ({"P": 1}, 4, 6, 1296, 1),
+        ({"P": 1}, 12, 2, 4096, 1),
+        ({"P": 1}, 5, 6, 1296, 6),
+    ])
+    def test_default_first_chunk(self, sig, n, radix, first, chunks):
+        """With the default constants a scan of up to about 2^12 ranks is
+        one chunk, so one run of each program: a run costs about the
+        same up to a few thousand ranks."""
+        sizes = [c.size for c, _ in masks.Space(sig, n, radix).scan()]
+        assert sizes[0] == first
+        assert len(sizes) == chunks
 
     def test_cap_is_checked_upfront(self, monkeypatch):
         monkeypatch.setenv("MVLOGIC_ENUM_CAP", "8")
