@@ -79,15 +79,9 @@ def _ground(phi: Formula, n: int, env: dict[str, int], legend) -> Formula:
         return t(_ground(phi.sub, n, env, legend))
     if t in QUANT:
         combine = And if t is Forall else Or
-        var, saved = phi.var, env.get(phi.var)  # bound in env, then restored
         parts = []
         for i in range(1, n + 1):
-            env[var] = i
-            parts.append(_ground(phi.body, n, env, legend))
-        if saved is None:
-            del env[var]
-        else:
-            env[var] = saved
+            parts.append(_ground(phi.body, n, {**env, phi.var: i}, legend))
         out = parts[-1]
         for part in reversed(parts[:-1]):
             out = combine(part, out)

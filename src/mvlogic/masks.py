@@ -248,11 +248,7 @@ class Code:
                 raise EvaluationError(f"cannot evaluate node {node!r}")
             if op == "min" or op == "max":
                 # Order and repeats do not matter; of one register, it.
-                if len(ins) == 3:
-                    a, b = ins[1], ins[2]
-                    args = (a,) if a == b else (a, b) if a < b else (b, a)
-                else:
-                    args = sorted(set(ins[1:]))
+                args = sorted(set(ins[1:]))
                 if len(args) == 1:
                     seen[key] = args[0]
                     return args[0]
@@ -349,11 +345,10 @@ class Program:
             op = ins[0]
             if op == "cell":
                 out = chunk.cell(ins[1], self.leaf, k)
-            elif op == "min" or op == "max":
-                if len(ins) == 3:
-                    out = _min_max(regs[ins[1]], regs[ins[2]], op == "min", k)
-                else:
-                    out = _fold([regs[a] for a in ins[1:]], op == "min", k, full)
+            elif op == "min" or op == "max":  # min and max are associative
+                meet, out = op == "min", regs[ins[1]]
+                for a in ins[2:]:
+                    out = _min_max(out, regs[a], meet, k)
             elif op == "bottom":
                 out = [full] + [0] * (k - 1)
             elif len(ins) == 2:  # neg, delta: index v becomes table[v]
@@ -398,29 +393,6 @@ def _min_max(a: list[int], b: list[int], meet: bool, k: int) -> list[int]:
             out[v] = x & (y | past_b) | y & past_a
             past_a |= x
             past_b |= y
-    return out
-
-
-def _fold(args: list[list[int]], meet: bool, k: int, full: int) -> list[int]:
-    """Rank-wise min (meet) or max of any number of args, through their
-    up-set masks: min(a, b) >= v iff a >= v and b >= v."""
-    acc = None
-    for masks in args:
-        up, run = [0] * k, 0
-        for v in range(k - 1, 0, -1):
-            run |= masks[v]
-            up[v] = run
-        if acc is None:
-            acc = up
-        elif meet:
-            acc = [x & y for x, y in zip(acc, up)]
-        else:
-            acc = [x | y for x, y in zip(acc, up)]
-    out, above = [0] * k, 0
-    for v in range(k - 1, 0, -1):
-        out[v] = acc[v] ^ above
-        above = acc[v]
-    out[0] = full ^ above
     return out
 
 

@@ -330,17 +330,37 @@ def test_a_grid_of_the_first_carrier_values_reads_cells_through_its_leaf(family)
 
 @pytest.mark.parametrize("k", range(2, 7))
 @pytest.mark.parametrize("meet", [True, False])
-def test_two_register_min_max_is_the_fold(k, meet):
-    """Every pair of one-hot mask lists over a two-rank chunk."""
-    full = 0b11
-    one_hot = []
-    for first, second in itertools.product(range(k), repeat=2):
+def test_two_register_min_max_is_the_rank_wise_min_max(k, meet):
+    """Every pair of one-hot mask lists over a two-rank chunk, against
+    the min or max of the two values read rank by rank."""
+    pick = min if meet else max
+    one_hot = {}
+    for values in itertools.product(range(k), repeat=2):
         reg = [0] * k
-        reg[first] |= 0b01
-        reg[second] |= 0b10
-        one_hot.append(reg)
-    for a, b in itertools.product(one_hot, repeat=2):
-        assert masks._min_max(a, b, meet, k) == masks._fold([a, b], meet, k, full)
+        for rank, v in enumerate(values):
+            reg[v] |= 1 << rank
+        one_hot[values] = reg
+    for (a, x), (b, y) in itertools.product(one_hot.items(), repeat=2):
+        expected = [0] * k
+        for rank in range(2):
+            expected[pick(a[rank], b[rank])] |= 1 << rank
+        assert masks._min_max(x, y, meet, k) == expected
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("text, pick", [("forall x. P(x)", min), ("exists x. P(x)", max)])
+def test_a_quantifier_folds_its_n_registers_pairwise(n, text, pick):
+    """An n-ary min or max over a whole space, against the min or max of
+    each rank's digits."""
+    chain = make_chain("nm", 4)
+    space = masks.Space({"P": 1}, n, chain.size)
+    code = masks.Code(parse(text), space)
+    assert len(code.instructions[code.result]) == n + 1
+    expected = [0] * chain.size
+    for rank in range(space.size):
+        expected[pick(space.digits(rank))] |= 1 << rank
+    program = masks.Program(code, chain, tuple(range(chain.size)))
+    assert program.run(masks.Chunk(space, 0, space.size)) == expected
 
 
 def test_a_run_leaves_the_shared_digit_patterns_as_they_were():
