@@ -32,7 +32,11 @@ little and leaves most small scans one run.  A 20-instruction grounded
 Code on nm(6) ran once in about 24, 26, 35, 72 and 275 us over chunks
 of 36, 216, 1296, 7776 and 46656 ranks (one core of a 2-vCPU Xeon).
 Later chunks grow up to about 2^22 ranks, or less when the masks alive
-at once would exceed MASK_BUDGET_BITS.
+at once would exceed MASK_BUDGET_BITS.  The digit patterns of a cell
+depend only on the radix, the cell's place value and the chunk size, so
+those of chunks up to FIRST_CHUNK_BITS sit in one module-level table
+that every space shares; a larger chunk's stay with its own space and
+go with it.
 """
 
 from __future__ import annotations
@@ -65,6 +69,8 @@ MAX_CHUNK_BITS = 1 << 22
 MASK_BUDGET_BITS = 1 << 28  # about 32 MB of masks alive at once
 GRID_VALUE_CAP = 256  # reachable values of a rational-grid scan on the masks
 
+_PATTERNS: dict[tuple[int, int, int], list[int]] = {}  # (radix, place, size) -> digit masks
+
 
 def ranks(mask: int) -> Iterator[int]:
     """The set bits of mask, lowest first."""
@@ -76,15 +82,16 @@ def ranks(mask: int) -> Iterator[int]:
 
 class Space:
     """The models of sig over {1..n} with `radix` digits a cell, in the
-    canonical order; raises upfront on no digits, n < 1 or over the cap."""
+    canonical order; raises upfront on no digits, n < 1 or over the cap,
+    which it reads when not given and keeps as `cap`."""
 
-    def __init__(self, sig: dict[str, int], n: int, radix: int):
+    def __init__(self, sig: dict[str, int], n: int, radix: int, cap: int | None = None):
         if radix < 1:
             raise InvalidParameterError("value set must be nonempty")
         if n < 1:
             raise InvalidParameterError("domain size must be >= 1")
         self.preds = sorted(sig)
-        check_cap(radix, sum(n**arity for arity in sig.values()), "models")
+        self.cap = check_cap(radix, sum(n**arity for arity in sig.values()), "models", cap)
         domain = range(1, n + 1)
         cells = [(p, a) for p in self.preds for a in product(domain, repeat=sig[p])]
         self._index(cells, n, radix)
@@ -106,7 +113,7 @@ class Space:
         self.places = [radix**i for i in range(len(cells) - 1, -1, -1)]  # cell -> place value
         self.identity = tuple(range(radix))
         self.position = {cell: i for i, cell in enumerate(cells)}
-        self._patterns: dict = {}
+        self._patterns: dict = {}  # past FIRST_CHUNK_BITS; below it, _PATTERNS
 
     def digits(self, rank: int) -> list[int]:
         """The digits of the given rank, cell 0 first."""
@@ -140,17 +147,22 @@ class Space:
 
     def digit_patterns(self, place: int, size: int) -> list[int]:
         """Over an aligned chunk of `size` ranks, the mask of each digit
-        of the cell whose place value is `place` < size."""
-        key = (place, size)
-        if key not in self._patterns:
+        of the cell whose place value is `place` < size: constants of
+        the radix, shared by every space up to FIRST_CHUNK_BITS and kept
+        by this space alone past it."""
+        radix = self.radix
+        key = (radix, place, size)
+        table = _PATTERNS if size <= FIRST_CHUNK_BITS else self._patterns
+        patterns = table.get(key)
+        if patterns is None:
             full = (1 << size) - 1
-            x, length = (1 << place) - 1, place * self.radix
+            x, length = (1 << place) - 1, place * radix
             while length < size:
                 x |= x << length
                 length *= 2
             x &= full
-            self._patterns[key] = [(x << (d * place)) & full for d in range(self.radix)]
-        return self._patterns[key]
+            patterns = table[key] = [(x << (d * place)) & full for d in range(radix)]
+        return patterns
 
 
 class Chunk:
@@ -165,7 +177,8 @@ class Chunk:
     def cell(self, i: int, leaf: tuple[int, ...], k: int) -> list[int]:
         """Masks of cell i, its digit d read as target index leaf[d].  When
         the k target indices are the radix digits themselves, these are
-        the space's cached digit patterns: no caller mutates them."""
+        the cached digit patterns, which every space of the radix shares:
+        no caller mutates them."""
         space = self.space
         place = space.places[i]
         if place >= self.size:  # the digit is constant over the chunk

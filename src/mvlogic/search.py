@@ -33,7 +33,7 @@ from .formulas import (
     universal_closure,
 )
 from .grounding import Verdict
-from .semantics import Model, enumerate_models, eval_fo, model_from_lines, model_to_text
+from .semantics import Model, eval_fo, model_from_lines, model_to_text
 
 
 class Certificate(NamedTuple):
@@ -73,19 +73,20 @@ def _first_countermodel(
     tables = chain
     if not isinstance(chain, Chain):
         tables = masks.grid_tables(chain, compiled.code(space), values)
-    if tables is None:
-        for n in range(1, max_size + 1):
-            for model in enumerate_models(sig, n, values):
+    if tables is not None:
+        # Digit d of a cell is the value values[d], at carrier index leaf[d].
+        full = values is tables.carrier
+        leaf = tuple(range(len(values))) if full else tuple(map(tables.index, values))
+    for n in range(1, max_size + 1):
+        if n > 1:
+            space = masks.Space(sig, n, len(values), space.cap)
+        if tables is None:
+            for rank in range(space.size):
+                model = space.model(rank, values)
                 val = eval_fo(chain, model, {}, closed)
                 if val != chain.top:
                     return model, val
-        return None
-    # Digit d of a cell is the value values[d], at carrier index leaf[d].
-    full = values is tables.carrier
-    leaf = tuple(range(len(values))) if full else tuple(map(tables.index, values))
-    for n in range(1, max_size + 1):
-        if n > 1:
-            space = masks.Space(sig, n, len(values))
+            continue
         found = masks.first_rank(space, masks.Program(compiled.code(space), tables, leaf))
         if found is not None:
             rank, index = found

@@ -208,24 +208,31 @@ def is_taut_prop(
     from . import masks  # masks builds on this module's Model
 
     c = require_finite(chain)
-    return _taut_prop(c, masks.Compiled(phi), sorted(prop_variables(phi)))
+    names = sorted(prop_variables(phi))
+    _check_assignments(c, len(names), phi)
+    return _taut_prop(c, masks.Compiled(phi), names)
 
 
-def _taut_prop(c: Chain, compiled, names: list[str]) -> tuple[bool, dict[str, Fraction] | None]:
-    """is_taut_prop on compiled.phi, whose variables are `names` in
-    order, binding the Code that `compiled` holds for them, or compiles
-    on first use."""
-    from . import masks
-
-    phi = compiled.phi
+def _check_assignments(c: Chain, cells: int, phi: Formula, cap: int | None = None) -> None:
+    """check_cap on the c.size**cells assignments of phi's `cells`
+    variables, after a missing delta that phi needs."""
     try:
-        check_cap(c.size, len(names), "assignments")
+        check_cap(c.size, cells, "assignments", cap)
     except CapExceededError:
         if has_delta(phi):
             c.delta(c.top)  # raises on a chain without delta: that error comes first
         raise
+
+
+def _taut_prop(c: Chain, compiled, names: list[str]) -> tuple[bool, dict[str, Fraction] | None]:
+    """is_taut_prop on compiled.phi, whose variables are `names` in
+    order and within the cap, binding the Code that `compiled` holds
+    for them, or compiles on first use."""
+    from . import masks
+
+    phi = compiled.phi
     space = masks.Space.of_variables(names, c.size)
-    program = masks.Program(compiled.code(space), c, tuple(range(c.size)))
+    program = masks.Program(compiled.code(space), c, space.identity)
     found = masks.first_rank(space, program)
     if found is None:
         return True, None
@@ -244,19 +251,28 @@ def _taut_prop(c: Chain, compiled, names: list[str]) -> tuple[bool, dict[str, Fr
 # Model enumeration
 
 
-def check_cap(radix: int, cells: int, what: str) -> None:
-    """The one cap check of the exhaustive scans of assignments and
-    models: raises CapExceededError upfront if a scan of radix**cells
-    points exceeds the cap (MVLOGIC_ENUM_CAP, default 20e6), without
-    building a count far past the cap; one past 64 bits reads radix^cells."""
+def enum_cap() -> int:
+    """The enumeration cap: MVLOGIC_ENUM_CAP, default 20e6."""
     raw = os.environ.get(ENUM_CAP_ENV)
     try:
-        cap = DEFAULT_ENUM_CAP if raw is None else int(raw)
+        return DEFAULT_ENUM_CAP if raw is None else int(raw)
     except ValueError:
         raise InvalidParameterError(f"{ENUM_CAP_ENV} must be an integer, not {raw!r}") from None
+
+
+def check_cap(radix: int, cells: int, what: str, cap: int | None = None) -> int:
+    """The one cap check of the exhaustive scans of assignments and
+    models: raises CapExceededError upfront if a scan of radix**cells
+    points exceeds the cap, without building a count far past the cap;
+    one past 64 bits reads radix^cells.  Returns the cap, read with
+    enum_cap when not given, so that a checker passes the cap its
+    first check read to the next and reads it once per call."""
+    if cap is None:
+        cap = enum_cap()
     if radix > 1 and cells >= cap.bit_length() or radix**cells > cap:  # 2**cells > cap
         total = radix**cells if cells * radix.bit_length() <= 64 else f"{radix}^{cells}"
         raise CapExceededError(f"{total} {what} exceed the enumeration cap {cap}")
+    return cap
 
 
 def count_models(sig: dict[str, int], n: int, values) -> int:

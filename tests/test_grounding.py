@@ -1,14 +1,24 @@
 import random
+import re
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
 from mvlogic import (
+    And,
+    Atom,
+    CapExceededError,
+    Forall,
     GroundingError,
     Model,
+    Or,
+    UnsupportedChainError,
+    Var,
     enumerate_models,
     eval_fo,
     eval_prop,
+    find_countermodel,
     ground,
     induced_assignment,
     make_chain,
@@ -20,7 +30,9 @@ from mvlogic import (
     universal_closure,
     witness_model,
 )
-from mvlogic.corpus import random_formula
+from mvlogic import formulas, grounding, masks, semantics
+from mvlogic.corpus import fixed_corpus, random_formula
+from mvlogic.formulas import prop_variables
 
 
 L2 = make_chain("lukasiewicz", 2)
@@ -60,6 +72,24 @@ class TestGround:
 
         g = ground(parse("forall x. (P(x) -> exists y. R(x,y))"), 2)
         assert set(prop_variables(g.formula)) == set(g.legend)
+
+    def test_open_input_message_comes_before_an_ungroundable_node(self):
+        closed = re.escape("formula has free variables ['x']; close it first")
+        with pytest.raises(GroundingError, match=f"^{closed}$"):
+            ground(parse("forall y. (P(y) & P(x))"), 2)
+        with pytest.raises(GroundingError, match=f"^{closed}$"):
+            ground(And(Var("p"), Atom("P", ("x",))), 2)
+        with pytest.raises(GroundingError, match=r"^cannot ground node Var\(name='p'\)$"):
+            ground(And(Atom("P", ()), Var("p")), 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_legend_is_in_first_occurrence_order(self, n):
+        """Each cell's variable is entered where the walk first reads the
+        cell, which is where it first occurs in the grounded formula."""
+        for phi in fixed_corpus():
+            g = ground(universal_closure(phi), n)
+            assert list(g.legend) == prop_variables(g.formula)
+            assert all(grounding.cell_variable(*cell) == name for name, cell in g.legend.items())
 
     def test_cell_names_injective(self):
         # Without escaping "_", P(1,1) and P_1(1) share p_P_1_1.
@@ -153,3 +183,114 @@ class TestTautUpto:
         v = taut_upto_grounded(make_chain("boolean"),
                                parse(r"forall x. (P(x) \/ ~P(x))"), 2)
         assert "taut-up-to-2" in v.describe()
+
+
+def _ternary_formula(rng: random.Random):
+    """A closed formula over a ternary T with repeated arguments, the
+    unary P and a T of arity 1, under three quantifiers."""
+    leaves = [Atom("T", tuple(rng.choice("xyz") for _ in range(3))) for _ in range(rng.randint(1, 4))]
+    leaves.append(Atom(rng.choice(["P", "T"]), (rng.choice("xyz"),)))
+    body = leaves[0]
+    for leaf in leaves[1:]:
+        body = rng.choice([And, Or])(body, leaf)
+    for var in "zyx":
+        body = Forall(var, body)
+    return body
+
+
+class TestCellCount:
+    """The grounded checker counts a size's cells without grounding it,
+    from the argument patterns of the closure's atoms."""
+
+    @staticmethod
+    def _count(closed, n):
+        return grounding._cell_count(closed, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_count_is_the_legend_size(self, n):
+        rng = random.Random(5)
+        closed = [universal_closure(phi) for phi in fixed_corpus()]
+        closed += [universal_closure(random_formula(rng, depth=3)) for _ in range(40)]
+        closed += [_ternary_formula(rng) for _ in range(60)]
+        for phi in closed:
+            assert self._count(phi, n) == len(ground(phi, n).legend), phi
+
+    def test_patterns_of_one_predicate_overlap(self):
+        # T(x,y,x), T(x,x,y) and T(y,x,x) share the n constant tuples.
+        phi = parse("forall x. forall y. (T(x,y,x) & T(x,x,y) & T(y,x,x) & T(x,y,y))")
+        assert [self._count(phi, n) for n in (1, 2, 3, 4)] == [1, 8, 21, 40]
+
+    def test_over_the_cap_before_grounding(self, monkeypatch):
+        """2^16 cells at n = 2 on boolean: refused from the count, without
+        grounding that size (the grounding of n = 1 runs)."""
+        monkeypatch.delenv("MVLOGIC_ENUM_CAP", raising=False)
+        xs = ",".join(f"x{i}" for i in range(16))
+        phi = parse(" ".join(f"forall x{i}." for i in range(16)) + f" (P({xs}) -> P({xs}))")
+        real = masks.ground
+
+        def ground_one(phi, n):
+            assert n == 1, f"grounded at n = {n}"
+            return real(phi, n)
+
+        with mock.patch.object(masks, "ground", ground_one):
+            with pytest.raises(CapExceededError,
+                               match=r"^2\^65536 assignments exceed the enumeration cap 20000000$"):
+                taut_upto_grounded(make_chain("boolean"), phi, 2)
+
+    def test_missing_delta_and_ungroundable_nodes_come_before_the_cap(self, monkeypatch):
+        monkeypatch.setenv("MVLOGIC_ENUM_CAP", "1")  # under one cell's digits
+        xs = ",".join(f"x{i}" for i in range(8))
+        phi = parse(" ".join(f"forall x{i}." for i in range(8)) + f" !P({xs})")
+        with pytest.raises(UnsupportedChainError, match=r"^chain lukasiewicz\(3\) has no delta operation$"):
+            taut_upto_grounded(make_chain("lukasiewicz", 3), phi, 2)
+        with pytest.raises(GroundingError, match=r"^cannot ground node Var\(name='p'\)$"):
+            taut_upto_grounded(make_chain("boolean"), And(phi, Var("p")), 2)
+
+
+class TestOneSetUpPerCall:
+    """What one taut_upto_grounded call pays once, counted, not timed:
+    a tautology up to 3, so that every size is grounded and scanned."""
+
+    PHI = parse("forall x. exists y. (R(x,y) -> (P(x) \\/ R(y,x)))")
+    CHAIN = make_chain("boolean")
+
+    @pytest.mark.parametrize("check", [taut_upto_grounded, taut_upto_direct, find_countermodel])
+    def test_the_cap_is_read_once(self, check):
+        read = mock.Mock(wraps=semantics.enum_cap)
+        with mock.patch.object(semantics, "enum_cap", read), mock.patch.object(grounding, "enum_cap", read):
+            out = check(make_chain("nm", 4), parse("forall x. (P(x) -> P(x))"), 3)
+        assert out is None or out.is_taut
+        assert read.call_count == 1
+
+    def test_free_variables_walks_the_formula_once(self):
+        calls = []
+        real = formulas.free_variables
+
+        def counted(phi):
+            calls.append(phi)
+            return real(phi)
+
+        with mock.patch.object(formulas, "free_variables", counted), \
+                mock.patch.object(grounding, "free_variables", counted):
+            assert taut_upto_grounded(self.CHAIN, self.PHI, 3).is_taut
+        assert calls == [self.PHI]
+
+    def test_one_name_per_cell_and_size(self):
+        made = []
+        real = grounding.cell_variable
+
+        def counted(pred, args):
+            made.append((pred, args))
+            return real(pred, args)
+
+        with mock.patch.object(grounding, "cell_variable", counted):
+            assert taut_upto_grounded(self.CHAIN, self.PHI, 3).is_taut
+        assert made == [cell for n in (1, 2, 3) for cell in ground(self.PHI, n).legend.values()]
+
+    def test_a_second_call_builds_no_digit_pattern(self):
+        taut_upto_grounded(self.CHAIN, self.PHI, 3)
+        before = dict(masks._PATTERNS)
+        assert before
+        taut_upto_grounded(self.CHAIN, self.PHI, 3)
+        assert masks._PATTERNS.keys() == before.keys()
+        assert all(masks._PATTERNS[key] is patterns for key, patterns in before.items())

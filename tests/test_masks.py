@@ -363,21 +363,44 @@ def test_a_quantifier_folds_its_n_registers_pairwise(n, text, pick):
     assert program.run(masks.Chunk(space, 0, space.size)) == expected
 
 
+def _digit_masks(radix, place, size):
+    """Rank by rank, the masks of each digit of the place value."""
+    return [sum(1 << r for r in range(size) if r // place % radix == d) for d in range(radix)]
+
+
 def test_a_run_leaves_the_shared_digit_patterns_as_they_were():
-    """A cell read with the identity leaf is the space's own pattern
-    list: two runs agree, and every pattern is still what a fresh space
-    computes."""
+    """A cell read with the identity leaf is the pattern list that every
+    space of the radix shares: two runs agree, and every shared pattern
+    of the radix is still what the digits of its ranks give, so no run
+    has changed one under a later scan."""
     chain = delta_expand(make_chain("nm", 4))
     space = masks.Space({"P": 1, "Q": 1}, 2, chain.size)
     phi = parse("forall x. exists y. ((P(x) & Q(y) -> P(x) /\\ Q(y)) <-> ~!(P(y) \\/ Q(x)))")
     program = masks.Program(masks.Code(phi, space), chain, tuple(range(chain.size)))
     chunk = masks.Chunk(space, 0, space.size)
     first = program.run(chunk)
-    assert space._patterns
+    assert (chain.size, 1, space.size) in masks._PATTERNS
     assert program.run(chunk) == first
-    fresh = masks.Space({"P": 1, "Q": 1}, 2, chain.size)
-    for (place, size), patterns in space._patterns.items():
-        assert patterns == fresh.digit_patterns(place, size)
+    assert masks.Space({"P": 1, "Q": 1}, 2, chain.size).digit_patterns(1, space.size) is \
+        space.digit_patterns(1, space.size)
+    for (radix, place, size), patterns in masks._PATTERNS.items():
+        if radix == chain.size:
+            assert patterns == _digit_masks(radix, place, size)
+
+
+def test_patterns_past_the_first_chunk_stay_with_their_space():
+    """A scan of 2^14 ranks runs chunks of 2^12, 2^12 and 2^13 ranks:
+    the shared table gains no pattern past FIRST_CHUNK_BITS, and the
+    space keeps the ones it made for its last chunk."""
+    chain = make_chain("boolean")
+    space = masks.Space({"P": 1}, 14, chain.size)
+    program = masks.Program(masks.Code(parse("forall x. (P(x) -> P(x))"), space), chain, (0, 1))
+    assert masks.first_rank(space, program) is None
+    assert [c.size for c, _ in space.scan()] == [1 << 12, 1 << 12, 1 << 13]
+    assert all(size <= masks.FIRST_CHUNK_BITS for _, _, size in masks._PATTERNS)
+    assert space._patterns and all(size == 1 << 13 for _, _, size in space._patterns)
+    for (radix, place, size), patterns in space._patterns.items():
+        assert patterns == _digit_masks(radix, place, size)
 
 
 def test_a_grid_search_builds_its_size_1_space_once():
